@@ -211,6 +211,21 @@ class SpecParser {
     return true;
   }
 
+  /// True when `ms` converts to at least one 1 ns clock tick.  A shorter
+  /// period (zero, negative, NaN) would re-arm a periodic event or a rate
+  /// cycle at the same instant forever.
+  static bool period_ticks(double ms) { return ms * 1e6 >= 1.0; }
+
+  bool need_period_ms(const KeyValue& kv, double& out) {
+    if (!need_double(kv, out)) return false;
+    if (!period_ticks(out)) {
+      return fail(kv.line, format("key '%s': a period must be at least 1 ns "
+                                  "(1e-6 ms), got '%s'",
+                                  kv.key.c_str(), kv.value.c_str()));
+    }
+    return true;
+  }
+
   bool parse_scenario(const Section& s) {
     if (!no_duplicate_keys(s, {"note"})) return false;
     for (const auto& kv : s.entries) {
@@ -334,6 +349,11 @@ class SpecParser {
         return fail(kv.line,
                     format("rate: expected 'sinusoid BASE AMP period_ms=P', got '%s'",
                            kv.value.c_str()));
+      }
+      if (!period_ticks(out.period_ms)) {
+        return fail(kv.line, format("rate: sinusoid period_ms must be at least "
+                                    "1 ns (1e-6 ms), got '%s'",
+                                    tok[3].c_str()));
       }
       return true;
     }
@@ -556,7 +576,7 @@ class SpecParser {
       } else if (kv.key == "scale_in_below") {
         if (!need_double(kv, spec_.controller.scale_in_below)) return false;
       } else if (kv.key == "period_ms") {
-        if (!need_double(kv, spec_.controller.period_ms)) return false;
+        if (!need_period_ms(kv, spec_.controller.period_ms)) return false;
       } else if (kv.key == "first_check_ms") {
         if (!need_double(kv, spec_.controller.first_check_ms)) return false;
       } else if (kv.key == "cooldown_ms") {
@@ -655,7 +675,7 @@ class SpecParser {
       } else if (kv.key == "target_max_load") {
         if (!need_double(kv, spec_.cluster.target_max_load)) return false;
       } else if (kv.key == "period_ms") {
-        if (!need_double(kv, spec_.cluster.period_ms)) return false;
+        if (!need_period_ms(kv, spec_.cluster.period_ms)) return false;
       } else if (kv.key == "first_check_ms") {
         if (!need_double(kv, spec_.cluster.first_check_ms)) return false;
       } else if (kv.key == "cooldown_ms") {

@@ -65,11 +65,11 @@ const std::vector<RuleInfo> kRules = {
      "a range-for over heavy elements declared by value copies every "
      "element per iteration on a hot path; bind const auto& instead"},
     {"P003", "std-function-on-packet-path",
-     "std::function in the per-packet processing layers (src/packet, "
-     "src/nf, src/device) type-erases through an indirect call and may "
-     "heap-allocate per capture; use a template parameter or a plain "
-     "function pointer (the kernel's EventQueue::Action in src/sim is the "
-     "one sanctioned type-erasure boundary)"},
+     "std::function on the hot paths (src/packet, src/sim, src/nf, "
+     "src/device) type-erases through an indirect call and may "
+     "heap-allocate per capture; use a template parameter, a plain "
+     "function pointer or, for events, the kernel's allocation-free "
+     "EventQueue::Action"},
     {"X001", "allow-hygiene",
      "pam-lint: allow(...) escape hatches need a known rule id and a "
      "reason, and must match a finding (stale allows are reported)"},
@@ -655,16 +655,11 @@ std::vector<Violation> scan_file(const std::string& file, const FileCtx& f,
     }
   }
 
-  // P001/P002 — heavy-copy rules over every hot-path library; P003 only
-  // in the per-packet processing layers: in src/sim the event queue's
-  // Action *is* a std::function — the kernel's sanctioned type-erasure
-  // boundary (mirrored by .clang-tidy's AllowedTypes).
+  // P001..P003 over every hot-path library, the DES kernel included.
   if (perf_hot_path) {
     scan_p001(file, f, companion, v);
     scan_p002(file, f, v);
-    if (!starts_with(file, "src/sim/")) {
-      scan_p003(file, f, v);
-    }
+    scan_p003(file, f, v);
   }
   return v;
 }

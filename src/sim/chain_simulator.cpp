@@ -69,16 +69,16 @@ ChainSimulator::~ChainSimulator() {
   }
 }
 
-void ChainSimulator::schedule_at(SimTime at, std::function<void()> fn) {
+void ChainSimulator::schedule_at(SimTime at, EventQueue::Action fn) {
   kernel_->schedule_at(at, std::move(fn));
 }
 
-void ChainSimulator::schedule_after(SimTime delay, std::function<void()> fn) {
+void ChainSimulator::schedule_after(SimTime delay, EventQueue::Action fn) {
   kernel_->schedule_after(delay, std::move(fn));
 }
 
 void ChainSimulator::schedule_periodic(SimTime start, SimTime period,
-                                       std::function<void()> fn) {
+                                       EventQueue::Action fn) {
   kernel_->schedule_periodic(start, period, std::move(fn));
 }
 
@@ -258,13 +258,12 @@ void ChainSimulator::advance(Packet* p, std::size_t idx, Hop from) {
   if (idx >= chain_.size()) {
     // Egress is always served from the home slot.
     if (from.server != home_.server) {
-      forward_to_server(p, home_.server,
-                        [this, p, idx](Hop at) { advance(p, idx, at); });
+      forward_to_server(p, home_.server, idx);
       return;
     }
     const Location egress_side = side_of(chain_.egress());
     if (from.side != egress_side) {
-      cross_pcie(p, home_, [this, p] { deliver(p); });
+      cross_pcie(p, home_, idx);
     } else {
       deliver(p);
     }
@@ -285,13 +284,12 @@ void ChainSimulator::advance(Packet* p, std::size_t idx, Hop from) {
   if (from.server != binding.server) {
     // Next NF lives on another rack slot: forward over the inter-server
     // fabric; the packet re-enters at that slot's SmartNIC side.
-    forward_to_server(p, binding.server,
-                      [this, p, idx](Hop at) { advance(p, idx, at); });
+    forward_to_server(p, binding.server, idx);
     return;
   }
   const Location loc = chain_.location_of(idx);
   if (loc != from.side) {
-    cross_pcie(p, binding, [this, p, idx] { process_node(p, idx); });
+    cross_pcie(p, binding, idx);
   } else {
     process_node(p, idx);
   }
@@ -336,18 +334,24 @@ void ChainSimulator::resume_from_remote(std::size_t i, const RemoteReturn& ret) 
 }
 
 void ChainSimulator::forward_to_server(Packet* p, std::size_t to_server,
-                                       std::function<void(Hop)> continuation) {
+                                       std::size_t idx) {
   ++server_hops_total_;
-  (void)p;  // pure pipeline delay: no queueing model on the rack fabric
-  kernel_->schedule_after(
-      inter_server_latency_,
-      [to_server, cont = std::move(continuation)]() mutable {
-        cont(Hop{to_server, Location::kSmartNic});
-      });
+  // Pure pipeline delay: no queueing model on the rack fabric.
+  kernel_->schedule_after(inter_server_latency_, [this, p, idx, to_server] {
+    advance(p, idx, Hop{to_server, Location::kSmartNic});
+  });
+}
+
+void ChainSimulator::after_crossing(Packet* p, std::size_t idx) {
+  if (idx < chain_.size()) {
+    process_node(p, idx);
+  } else {
+    deliver(p);
+  }
 }
 
 void ChainSimulator::cross_pcie(Packet* p, const NodeBinding& binding,
-                                std::function<void()> continuation) {
+                                std::size_t idx) {
   auto& pcie = binding.hw->pcie();
   p->note_pcie_crossing();
   pcie.note_crossing(p->wire_bytes());
@@ -360,17 +364,15 @@ void ChainSimulator::cross_pcie(Packet* p, const NodeBinding& binding,
 
   ServerDevices* devices = binding.devices;
   const bool accepted = devices->pcie.submit(
-      link_service, [this, p, devices, fixed, driver_service,
-                     cont = std::move(continuation)]() mutable {
-        kernel_->schedule_after(
-            fixed,
-            [this, p, devices, driver_service, cont = std::move(cont)]() mutable {
-              // Host-side DMA/driver work shares the CPU with NF processing.
-              const bool ok = devices->cpu.submit(driver_service, std::move(cont));
-              if (!ok) {
-                drop(p, dropped_queue_cpu_);
-              }
-            });
+      link_service, [this, p, devices, fixed, driver_service, idx] {
+        kernel_->schedule_after(fixed, [this, p, devices, driver_service, idx] {
+          // Host-side DMA/driver work shares the CPU with NF processing.
+          const bool ok = devices->cpu.submit(
+              driver_service, [this, p, idx] { after_crossing(p, idx); });
+          if (!ok) {
+            drop(p, dropped_queue_cpu_);
+          }
+        });
       });
   if (!accepted) {
     drop(p, dropped_queue_pcie_);

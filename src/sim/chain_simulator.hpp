@@ -104,12 +104,12 @@ class ChainSimulator {
   [[nodiscard]] const Calibration& calibration() const noexcept { return calibration_; }
   [[nodiscard]] SimulationKernel& kernel() noexcept { return *kernel_; }
 
-  void schedule_at(SimTime at, std::function<void()> fn);
-  void schedule_after(SimTime delay, std::function<void()> fn);
+  void schedule_at(SimTime at, EventQueue::Action fn);
+  void schedule_after(SimTime delay, EventQueue::Action fn);
   /// Periodic callback every `period` starting at `start`; stops when the
   /// run's horizon is reached.  One shared implementation for all callers:
   /// SimulationKernel::schedule_periodic.
-  void schedule_periodic(SimTime start, SimTime period, std::function<void()> fn);
+  void schedule_periodic(SimTime start, SimTime period, EventQueue::Action fn);
 
   /// The functional NF instance at chain position i.
   [[nodiscard]] NetworkFunction& nf(std::size_t i) { return *nfs_.at(i); }
@@ -191,10 +191,13 @@ class ChainSimulator {
     std::uint32_t hops = 0;
   };
 
+  /// Fabric send hook, installed once per chain at set-up.
+  using FabricEgress = std::function<void(const Packet&, std::size_t)>;  // pam-lint: allow(P003) set once per chain; a call is one indirect jump per cross-rack visit, no allocation
+
   /// Installs the fabric send hook: every packet reaching a remote node is
   /// handed to `fn` (which serializes it into the shard mailbox) and its
   /// home buffer returns to the pool.
-  void set_fabric_egress(std::function<void(const Packet&, std::size_t)> fn) {
+  void set_fabric_egress(FabricEgress fn) {
     fabric_egress_ = std::move(fn);
   }
 
@@ -248,10 +251,12 @@ class ChainSimulator {
   void advance(Packet* p, std::size_t idx, Hop from);
   void send_to_fabric(Packet* p, std::size_t idx);
   void process_node(Packet* p, std::size_t idx);
-  void cross_pcie(Packet* p, const NodeBinding& binding,
-                  std::function<void()> continuation);
-  void forward_to_server(Packet* p, std::size_t to_server,
-                         std::function<void(Hop)> continuation);
+  // Continuations are flat (packet, chain position) pairs: after a PCIe
+  // crossing the packet is processed at node idx (delivered when idx is
+  // the egress position); after a server hop it re-enters advance().
+  void cross_pcie(Packet* p, const NodeBinding& binding, std::size_t idx);
+  void after_crossing(Packet* p, std::size_t idx);
+  void forward_to_server(Packet* p, std::size_t to_server, std::size_t idx);
   void deliver(Packet* p);
   void drop(Packet* p, std::uint64_t& counter);
   void finish(Packet* p);
@@ -276,7 +281,7 @@ class ChainSimulator {
   std::vector<std::unique_ptr<NetworkFunction>> nfs_;
   std::vector<bool> paused_;
   std::vector<bool> remote_;  ///< node leased to another rack (datacenter mode)
-  std::function<void(const Packet&, std::size_t)> fabric_egress_;
+  FabricEgress fabric_egress_;
   std::vector<std::vector<Parked>> buffers_;
 
   struct NodeStats {

@@ -50,7 +50,7 @@ std::size_t DatacenterSimulator::add_chain(ServiceChain chain,
 }
 
 void DatacenterSimulator::schedule_on_rack(std::size_t r, SimTime at,
-                                           std::function<void()> fn) {
+                                           EventQueue::Action fn) {
   racks_.at(r)->kernel().schedule_at(at, std::move(fn));
 }
 

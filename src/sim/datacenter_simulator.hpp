@@ -151,7 +151,7 @@ class DatacenterSimulator {
 
   /// Schedules `fn` on rack `r`'s kernel — the event must touch only that
   /// rack's state (shard isolation).
-  void schedule_on_rack(std::size_t r, SimTime at, std::function<void()> fn);
+  void schedule_on_rack(std::size_t r, SimTime at, EventQueue::Action fn);
   /// Re-shapes every rack's *intra*-rack fabric at `at` (one rack-local
   /// event per shard; the cross-rack quantum is fixed at construction).
   void schedule_fabric_latency(SimTime at, SimTime latency);
@@ -170,15 +170,18 @@ class DatacenterSimulator {
 
   // --- epoch loop hooks -----------------------------------------------------
 
+  using BarrierHook = std::function<void(SimTime, bool)>;  // pam-lint: allow(P003) set once per run; called once per epoch barrier, never per packet
+  using DrainGate = std::function<bool()>;  // pam-lint: allow(P003) set once per run; polled once per drain epoch, never per packet
+
   /// Runs at every epoch barrier, after the frame exchange, with all shard
   /// kernels quiescent at the barrier time.  `draining` is true once the
   /// horizon has passed.
-  void set_barrier_hook(std::function<void(SimTime, bool)> hook) {
+  void set_barrier_hook(BarrierHook hook) {
     barrier_hook_ = std::move(hook);
   }
   /// While it returns true the drain phase keeps cycling even with empty
   /// queues (e.g. a cross-rack move still pending commit).
-  void set_drain_gate(std::function<bool()> gate) { drain_gate_ = std::move(gate); }
+  void set_drain_gate(DrainGate gate) { drain_gate_ = std::move(gate); }
 
   /// Runs the whole datacenter to the horizon and drains.  Single-shot.
   /// `threads` sets the epoch executor's pool size; results are
@@ -227,8 +230,8 @@ class DatacenterSimulator {
   std::vector<ChainRef> chain_map_;     ///< global chain -> (rack, local)
   std::vector<std::size_t> chain_home_; ///< global chain -> global home slot
   std::vector<std::unique_ptr<Lease>> leases_;
-  std::function<void(SimTime, bool)> barrier_hook_;
-  std::function<bool()> drain_gate_;
+  BarrierHook barrier_hook_;
+  DrainGate drain_gate_;
   std::uint64_t epochs_ = 0;
   bool ran_ = false;
 };

@@ -29,7 +29,7 @@ EpochExecutor::~EpochExecutor() {
 }
 
 void EpochExecutor::run_slice(std::size_t worker_index,
-                              const std::function<void(std::size_t)>& shard_work) {
+                              const ShardWork& shard_work) {
   const std::size_t stride = workers_.size() + 1;
   for (std::size_t s = worker_index; s < shards_; s += stride) {
     shard_work(s);
@@ -39,7 +39,7 @@ void EpochExecutor::run_slice(std::size_t worker_index,
 void EpochExecutor::worker_loop(std::size_t worker_index) {
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(std::size_t)>* work = nullptr;
+    const ShardWork* work = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       start_cv_.wait(lock, [&] { return shutdown_ || epoch_ != seen; });
@@ -58,7 +58,7 @@ void EpochExecutor::worker_loop(std::size_t worker_index) {
   }
 }
 
-void EpochExecutor::run_epoch(const std::function<void(std::size_t)>& shard_work) {
+void EpochExecutor::run_epoch(const ShardWork& shard_work) {
   if (workers_.empty()) {
     // threads == 1 (or a single shard): fully inline, no synchronization.
     run_slice(0, shard_work);

@@ -40,6 +40,10 @@ class EpochExecutor {
   EpochExecutor(const EpochExecutor&) = delete;
   EpochExecutor& operator=(const EpochExecutor&) = delete;
 
+  /// One epoch's per-shard work.  Type-erased because the persistent
+  /// workers pick it up through work_.
+  using ShardWork = std::function<void(std::size_t)>;  // pam-lint: allow(P003) built once per epoch; one indirect call per shard per epoch, never per packet
+
   [[nodiscard]] std::size_t threads() const noexcept { return workers_.size() + 1; }
   [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
 
@@ -48,12 +52,11 @@ class EpochExecutor {
   /// state (plus its own mailbox row of the fabric).  Blocking barrier:
   /// on return, everything the workers wrote is visible to the caller, and
   /// everything the caller wrote before the call was visible to them.
-  void run_epoch(const std::function<void(std::size_t)>& shard_work);
+  void run_epoch(const ShardWork& shard_work);
 
  private:
   void worker_loop(std::size_t worker_index);
-  void run_slice(std::size_t worker_index,
-                 const std::function<void(std::size_t)>& shard_work);
+  void run_slice(std::size_t worker_index, const ShardWork& shard_work);
 
   std::size_t shards_;
   std::vector<std::thread> workers_;
@@ -61,7 +64,7 @@ class EpochExecutor {
   std::mutex mu_;
   std::condition_variable start_cv_;  ///< caller -> workers: epoch posted
   std::condition_variable done_cv_;   ///< workers -> caller: slice finished
-  const std::function<void(std::size_t)>* work_ = nullptr;  // guarded by mu_
+  const ShardWork* work_ = nullptr;  // guarded by mu_
   std::uint64_t epoch_ = 0;        ///< generation counter (guarded by mu_)
   std::size_t outstanding_ = 0;    ///< workers still in the epoch (guarded by mu_)
   bool shutdown_ = false;          ///< guarded by mu_

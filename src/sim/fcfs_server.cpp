@@ -6,6 +6,10 @@
 
 namespace pam {
 
+namespace {
+constexpr std::size_t kFirstRingSlots = 8;
+}
+
 FcfsServer::FcfsServer(EventQueue& queue, std::string name, std::size_t queue_capacity)
     : queue_(queue), name_(std::move(name)), capacity_(queue_capacity) {
   assert(queue_capacity > 0);
@@ -21,37 +25,62 @@ bool FcfsServer::submit(SimTime service, Completion done) {
   if (speed_ != 1.0) {
     service = service * (1.0 / speed_);
   }
-  if (busy_) {
-    if (waiting_.size() >= capacity_) {
-      ++rejected_;
-      return false;
-    }
-    waiting_.push_back(Job{service, std::move(done)});
-    max_queue_ = std::max(max_queue_, waiting_.size());
+  if (!busy_) {
+    start(service, std::move(done));
     return true;
   }
-  start(Job{service, std::move(done)});
+  if (waiting_ >= capacity_) {
+    ++rejected_;
+    return false;
+  }
+  if (waiting_ == ring_.size()) {
+    grow_ring();
+  }
+  std::size_t tail = head_ + waiting_;
+  if (tail >= ring_.size()) {
+    tail -= ring_.size();
+  }
+  ring_[tail] = Job{service, std::move(done)};
+  ++waiting_;
+  max_queue_ = std::max(max_queue_, waiting_);
   return true;
 }
 
-void FcfsServer::start(Job job) {
+void FcfsServer::start(SimTime service, Completion done) {
   busy_ = true;
-  busy_time_ += job.service;
-  queue_.schedule_after(job.service, [this, done = std::move(job.done)]() mutable {
-    ++completed_;
-    // Completion may submit more work; run it before dequeuing so FIFO
-    // order among already-queued jobs is preserved (new submissions land
-    // behind them).
-    Completion local = std::move(done);
-    if (!waiting_.empty()) {
-      Job next = std::move(waiting_.front());
-      waiting_.pop_front();
-      start(std::move(next));
-    } else {
-      busy_ = false;
-    }
-    local();
-  });
+  busy_time_ += service;
+  in_service_ = std::move(done);
+  queue_.schedule_after(service, [this] { complete(); });
+}
+
+void FcfsServer::complete() {
+  ++completed_;
+  // The completion may submit more work; start the next queued job before
+  // running it so FIFO order among already-queued jobs is preserved (new
+  // submissions land behind them).
+  Completion done = std::move(in_service_);
+  if (waiting_ > 0) {
+    Job& next = ring_[head_];
+    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+    --waiting_;
+    start(next.service, std::move(next.done));
+  } else {
+    busy_ = false;
+  }
+  done();
+}
+
+void FcfsServer::grow_ring() {
+  // waiting_ < capacity_ here (drop-tail checked first), so the new ring
+  // always has a free slot.
+  const std::size_t slots =
+      std::min(capacity_, std::max(kFirstRingSlots, ring_.size() * 2));
+  std::vector<Job> grown(slots);
+  for (std::size_t i = 0; i < waiting_; ++i) {
+    grown[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+  }
+  ring_ = std::move(grown);
+  head_ = 0;
 }
 
 }  // namespace pam

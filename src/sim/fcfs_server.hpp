@@ -5,13 +5,17 @@
 // an explicit service time, so one server naturally realises the paper's
 // resource model: a device is saturated exactly when the sum of
 // (rate_i x service_i) across its resident NFs reaches 1.
+//
+// Allocation-free in steady state: the job in service is a member (its
+// completion event captures only `this`), and waiting jobs sit in a ring
+// that is allocated on the first job that has to wait and doubles, up to
+// the queue capacity, when full.  A server that never queues holds no ring.
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 
@@ -19,7 +23,7 @@ namespace pam {
 
 class FcfsServer {
  public:
-  using Completion = std::function<void()>;
+  using Completion = EventQueue::Action;
 
   FcfsServer(EventQueue& queue, std::string name, std::size_t queue_capacity);
 
@@ -29,9 +33,11 @@ class FcfsServer {
   [[nodiscard]] bool submit(SimTime service, Completion done);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::size_t queue_length() const noexcept { return waiting_.size(); }
+  [[nodiscard]] std::size_t queue_length() const noexcept { return waiting_; }
   [[nodiscard]] std::size_t queue_capacity() const noexcept { return capacity_; }
   [[nodiscard]] bool busy() const noexcept { return busy_; }
+  /// Job slots the waiting ring holds (0 until a job first has to wait).
+  [[nodiscard]] std::size_t ring_slots() const noexcept { return ring_.size(); }
 
   /// Service-rate multiplier for capacity fades (hostile-link scenarios):
   /// every subsequently submitted job's service time is divided by `speed`.
@@ -57,12 +63,17 @@ class FcfsServer {
     Completion done;
   };
 
-  void start(Job job);
+  void start(SimTime service, Completion done);
+  void complete();
+  void grow_ring();
 
   EventQueue& queue_;
   std::string name_;
   std::size_t capacity_;
-  std::deque<Job> waiting_;
+  Completion in_service_;
+  std::vector<Job> ring_;    ///< waiting jobs, FIFO from head_
+  std::size_t head_ = 0;
+  std::size_t waiting_ = 0;
   bool busy_ = false;
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;

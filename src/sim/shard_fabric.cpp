@@ -55,8 +55,7 @@ void ShardFabric::release(std::size_t shard, FabricFrame frame) {
   arenas_[shard].push_back(std::move(frame));
 }
 
-void ShardFabric::exchange(
-    const std::function<void(std::size_t, std::size_t, FabricFrame&&)>& deliver) {
+void ShardFabric::exchange(const Deliver& deliver) {
   for (std::size_t dst = 0; dst < shards_; ++dst) {
     for (std::size_t src = 0; src < shards_; ++src) {
       Mailbox& mb = box(src, dst);

@@ -71,12 +71,13 @@ class ShardFabric {
   /// from the shard's own thread (or at a barrier).
   void release(std::size_t shard, FabricFrame frame);
 
+  using Deliver = std::function<void(std::size_t, std::size_t, FabricFrame&&)>;  // pam-lint: allow(P003) one drain callback per epoch barrier; the per-frame cost is one indirect call, never an allocation
+
   /// Drains every mailbox in (dst, src, seq) order, invoking
   /// `deliver(src, dst, frame)` for each frame.  Mailbox vectors are
   /// cleared but keep their capacity.  Barrier-only: every shard thread
   /// must be parked.
-  void exchange(
-      const std::function<void(std::size_t, std::size_t, FabricFrame&&)>& deliver);
+  void exchange(const Deliver& deliver);
 
   /// True when no mailbox holds a frame (used by the drain loop).
   [[nodiscard]] bool idle() const noexcept;

@@ -19,9 +19,7 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
-#include <vector>
+#include <deque>
 
 #include "common/units.hpp"
 #include "packet/packet_pool.hpp"
@@ -56,18 +54,18 @@ class SimulationKernel {
   /// traffic sources use this to stop injecting.
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
 
-  void schedule_at(SimTime at, std::function<void()> fn) {
+  void schedule_at(SimTime at, EventQueue::Action fn) {
     queue_.schedule_at(at, std::move(fn));
   }
-  void schedule_after(SimTime delay, std::function<void()> fn) {
+  void schedule_after(SimTime delay, EventQueue::Action fn) {
     queue_.schedule_after(delay, std::move(fn));
   }
 
-  /// Periodic callback every `period` starting at `start`; stops when the
-  /// run's horizon is reached.  The kernel owns the self-rescheduling
-  /// closure (queued copies hold only weak_ptrs), so destroying the kernel
-  /// reclaims stateful callbacks without a shared_ptr cycle.
-  void schedule_periodic(SimTime start, SimTime period, std::function<void()> fn);
+  /// Periodic callback every `period` (> 0) starting at `start`; stops when
+  /// the run's horizon is reached.  The kernel owns the callback in its
+  /// task table, so a stateful callback keeps its state across firings and
+  /// each firing's event captures only (kernel, task index).
+  void schedule_periodic(SimTime start, SimTime period, EventQueue::Action fn);
 
   /// Single-shot: arms the measurement window, runs events until the clock
   /// reaches `duration`, then drains the queue unmetered so in-flight work
@@ -96,9 +94,18 @@ class SimulationKernel {
   void begin_drain() noexcept { stopped_ = true; }
 
  private:
+  struct PeriodicTask {
+    SimTime period;
+    EventQueue::Action fn;
+  };
+
+  void fire_periodic(std::size_t task);
+
   EventQueue queue_;
   PacketPool pool_;
-  std::vector<std::shared_ptr<std::function<void()>>> periodic_tasks_;
+  /// A deque, so registering a task from inside a running callback never
+  /// moves the callback being run.
+  std::deque<PeriodicTask> periodic_tasks_;
   SimTime warmup_ = SimTime::zero();
   SimTime horizon_ = SimTime::zero();
   bool stopped_ = false;

@@ -691,14 +691,16 @@ TEST(PamLintP003, StdFunctionOnPacketLayerFlaggedExactlyOnce) {
   EXPECT_EQ(report.violations[0].line, 2u);
 }
 
-TEST(PamLintP003, SimEventQueueBoundaryIsSanctioned) {
-  // In src/sim the event queue's Action IS a std::function — the kernel's
-  // one sanctioned type-erasure boundary; the rule stays out.
+TEST(PamLintP003, StdFunctionInSimFlagged) {
+  // src/sim is a hot path like the others: events go through the kernel's
+  // allocation-free EventQueue::Action, so a std::function there is flagged.
   const std::string src =
       "#include <functional>\n"
       "struct Hook { std::function<void()> on_drop; };\n";
   const LintReport report = lint_source("src/sim/fixture_action.hpp", src);
-  EXPECT_TRUE(report.clean()) << report.violations.size();
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].rule, "P003");
+  EXPECT_EQ(report.violations[0].line, 2u);
 }
 
 TEST(PamLintP003, PlainFunctionWordIsClean) {

@@ -648,5 +648,64 @@ measure_rate = cap x 1.2
   EXPECT_DOUBLE_EQ(scaled.variants[1].measure_rate.value, 1.2);
 }
 
+// A period shorter than one 1 ns tick re-armed its periodic event (or
+// rate cycle) at the same instant forever; the parser must refuse it with
+// the offending line.
+constexpr const char* kBadPeriods[] = {"0", "-5", "1e-9"};
+
+void expect_period_rejected(const std::string& text, int line,
+                            const std::string& fragment) {
+  const auto result = ScenarioSpec::parse(text);
+  ASSERT_FALSE(result.has_value()) << text;
+  const std::string& what = result.error().what();
+  EXPECT_NE(what.find(":" + std::to_string(line) + ": "), std::string::npos)
+      << "error was: " << what;
+  EXPECT_NE(what.find(fragment), std::string::npos) << "error was: " << what;
+}
+
+TEST(ScenarioSpecErrors, ControllerPeriodBelowOneTickRejected) {
+  for (const char* bad : kBadPeriods) {
+    expect_period_rejected(
+        std::string("[scenario]\nname = x\nkind = timeline\n"
+                    "chain = wire | S:Monitor | wire\n"
+                    "[traffic]\nrate = constant 2\n"
+                    "[controller]\nperiod_ms = ") +
+            bad + "\n",
+        8, "period must be at least 1 ns");
+  }
+}
+
+TEST(ScenarioSpecErrors, ClusterPeriodBelowOneTickRejected) {
+  for (const char* bad : kBadPeriods) {
+    expect_period_rejected(
+        std::string("[scenario]\nname = c\nkind = cluster\n"
+                    "[chain]\nname = a\nspec = wire | S:Firewall | wire\n"
+                    "[cluster]\nservers = 2\nperiod_ms = ") +
+            bad + "\n",
+        9, "period must be at least 1 ns");
+  }
+}
+
+TEST(ScenarioSpecErrors, SinusoidPeriodBelowOneTickRejected) {
+  for (const char* bad : kBadPeriods) {
+    expect_period_rejected(
+        std::string("[scenario]\nname = x\nkind = timeline\n"
+                    "chain = wire | S:Monitor | wire\n"
+                    "[traffic]\nrate = sinusoid 2 0.5 period_ms=") +
+            bad + "\n",
+        6, "sinusoid period_ms must be at least 1 ns");
+  }
+}
+
+TEST(ScenarioSpec, OneMicrosecondPeriodsAreAccepted) {
+  const auto result = ScenarioSpec::parse(
+      "[scenario]\nname = x\nkind = timeline\n"
+      "chain = wire | S:Monitor | wire\n"
+      "[traffic]\nrate = sinusoid 2 0.5 period_ms=0.001\n"
+      "[controller]\nperiod_ms = 0.001\n");
+  ASSERT_TRUE(result.has_value()) << result.error().what();
+  EXPECT_DOUBLE_EQ(result.value().controller.period_ms, 0.001);
+}
+
 }  // namespace
 }  // namespace pam

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/simulation_kernel.hpp"
 
 namespace pam {
@@ -61,6 +63,27 @@ TEST(SimulationKernel, PeriodicCallbackKeepsStateAcrossFirings) {
                            [&seen, n = 0]() mutable { seen.push_back(n++); });
   kernel.run(SimTime::milliseconds(4.5), SimTime::milliseconds(1));
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SimulationKernel, PeriodicCallbackMayRegisterAnotherTask) {
+  // Registering grows the kernel's task table while a callback is running;
+  // the running callback (and its captures) must stay intact.
+  SimulationKernel kernel;
+  std::vector<int> seen;
+  int registered = 0;
+  kernel.schedule_periodic(
+      SimTime::milliseconds(1), SimTime::milliseconds(2),
+      [&kernel, &seen, &registered, tag = 1]() {
+        ++registered;
+        kernel.schedule_periodic(SimTime::milliseconds(100),
+                                 SimTime::milliseconds(100), [] {});
+        seen.push_back(tag);
+      });
+  kernel.schedule_periodic(SimTime::milliseconds(2), SimTime::milliseconds(2),
+                           [&seen] { seen.push_back(2); });
+  kernel.run(SimTime::milliseconds(6.5), SimTime::milliseconds(1));
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 1, 2, 1, 2}));
+  EXPECT_EQ(registered, 3);
 }
 
 TEST(SimulationKernel, PoolIsSharedAndLeakChecked) {
