@@ -1,39 +1,64 @@
 #include "common/json_writer.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-
-#include "common/strings.hpp"
 
 namespace pam {
 
 namespace {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+// Indentation is copied out of this buffer; deeper nesting takes several
+// copies.
+constexpr std::string_view kSpaces = "                                ";
+
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+template <typename Int>
+void write_integer(std::ostream& out, Int v) {
+  char buf[24];  // 20 digits + sign for any 64-bit integer
+  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out.write(buf, end - buf);
 }
 
 }  // namespace
 
+void JsonWriter::write(std::string_view s) {
+  out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+}
+
+void JsonWriter::write_escaped(std::string_view s) {
+  out_.put('"');
+  // Copy maximal runs that need no escaping in one write each.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    write(s.substr(run, i - run));
+    run = i + 1;
+    switch (c) {
+      case '"': write("\\\""); break;
+      case '\\': write("\\\\"); break;
+      case '\n': write("\\n"); break;
+      case '\r': write("\\r"); break;
+      case '\t': write("\\t"); break;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHexDigits[c >> 4], kHexDigits[c & 0xf]};
+        write({esc, sizeof(esc)});
+      }
+    }
+  }
+  write(s.substr(run));
+  out_.put('"');
+}
+
 void JsonWriter::indent() {
-  for (std::size_t i = 0; i < stack_.size(); ++i) {
-    out_ << "  ";
+  for (std::size_t n = 2 * has_element_.size(); n > 0;) {
+    const std::size_t chunk = std::min(n, kSpaces.size());
+    write(kSpaces.substr(0, chunk));
+    n -= chunk;
   }
 }
 
@@ -42,93 +67,89 @@ void JsonWriter::separate() {
     pending_key_ = false;
     return;  // value follows "key": on the same line
   }
-  if (!stack_.empty()) {
+  if (!has_element_.empty()) {
     if (has_element_.back() == '1') {
-      out_ << ",";
+      out_.put(',');
     }
     has_element_.back() = '1';
-    out_ << "\n";
+    out_.put('\n');
     indent();
   }
 }
 
-void JsonWriter::begin_object() {
+void JsonWriter::open(char bracket) {
   separate();
-  out_ << "{";
-  stack_ += 'o';
+  out_.put(bracket);
   has_element_ += '0';
 }
+
+void JsonWriter::close(char bracket) {
+  const bool had = has_element_.back() == '1';
+  has_element_.pop_back();
+  if (had) {
+    out_.put('\n');
+    indent();
+  }
+  out_.put(bracket);
+}
+
+void JsonWriter::begin_object() { open('{'); }
 
 void JsonWriter::end_object() {
-  const bool had = has_element_.back() == '1';
-  stack_.pop_back();
-  has_element_.pop_back();
-  if (had) {
-    out_ << "\n";
-    indent();
-  }
-  out_ << "}";
-  if (stack_.empty()) {
-    out_ << "\n";
+  close('}');
+  if (has_element_.empty()) {
+    out_.put('\n');
   }
 }
 
-void JsonWriter::begin_array() {
-  separate();
-  out_ << "[";
-  stack_ += 'a';
-  has_element_ += '0';
-}
+void JsonWriter::begin_array() { open('['); }
 
-void JsonWriter::end_array() {
-  const bool had = has_element_.back() == '1';
-  stack_.pop_back();
-  has_element_.pop_back();
-  if (had) {
-    out_ << "\n";
-    indent();
-  }
-  out_ << "]";
-}
+void JsonWriter::end_array() { close(']'); }
 
 void JsonWriter::key(std::string_view k) {
   separate();
-  out_ << "\"" << json_escape(k) << "\": ";
+  write_escaped(k);
+  write(": ");
   pending_key_ = true;
 }
 
 void JsonWriter::value(std::string_view v) {
   separate();
-  out_ << "\"" << json_escape(v) << "\"";
+  write_escaped(v);
 }
 
 void JsonWriter::value(double v) {
   separate();
   if (!std::isfinite(v)) {
-    out_ << "null";
+    write("null");
     return;
   }
-  out_ << format("%.10g", v);
+  // The standard defines this conversion as printf's "%.10g" in the C
+  // locale, which is what the reports have always carried.
+  char buf[32];  // needs at most 17 ("-1.234567890e+308")
+  const char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 10).ptr;
+  write({buf, static_cast<std::size_t>(end - buf)});
 }
 
 void JsonWriter::value(std::uint64_t v) {
   separate();
-  out_ << format("%llu", static_cast<unsigned long long>(v));
+  write_integer(out_, v);
 }
 
 void JsonWriter::value(std::int64_t v) {
   separate();
-  out_ << format("%lld", static_cast<long long>(v));
+  write_integer(out_, v);
 }
 
 void JsonWriter::value(bool v) {
   separate();
-  out_ << (v ? "true" : "false");
+  write(v ? "true" : "false");
 }
 
 void JsonWriter::null() {
   separate();
-  out_ << "null";
+  write("null");
 }
 
 }  // namespace pam

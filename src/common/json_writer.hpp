@@ -16,7 +16,8 @@ namespace pam {
 
 /// Minimal streaming JSON writer: correct escaping, 2-space pretty
 /// printing, commas managed by the writer.  Nesting is the caller's
-/// responsibility (begin/end calls must balance).
+/// responsibility (begin/end calls must balance).  Tokens go straight into
+/// the stream; the writer itself allocates nothing per token.
 class JsonWriter {
  public:
   /// Writes to `out`, which must outlive the writer.
@@ -54,11 +55,15 @@ class JsonWriter {
  private:
   void separate();  ///< comma/newline/indent before a new element
   void indent();
+  void open(char bracket);
+  void close(char bracket);
+  void write(std::string_view s);
+  void write_escaped(std::string_view s);  ///< quoted, JSON-escaped
 
   std::ostream& out_;
-  /// One entry per open container: whether it already holds an element.
-  std::string stack_;  ///< 'o' = object, 'a' = array (value = container kind)
-  std::string has_element_;  ///< parallel to stack_: '1' once an element exists
+  /// One entry per open container, '1' once it holds an element; its size
+  /// is the nesting depth.
+  std::string has_element_;
   bool pending_key_ = false;
 };
 

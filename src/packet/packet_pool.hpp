@@ -15,11 +15,17 @@ namespace pam {
 
 class PacketPool {
  public:
-  /// `initial_capacity` packets are pre-allocated; the pool grows on demand
-  /// (hard cap at `max_capacity` — acquire beyond it reports exhaustion,
-  /// mimicking mempool depletion).
+  /// Default exhaustion ceiling, in packets.
+  static constexpr std::size_t kDefaultMaxCapacity = std::size_t{1} << 20;
+
+  /// The pool is built holding `initial_capacity` packets (at most
+  /// `max_capacity`) and grows by one packet whenever acquire finds the
+  /// freelist empty, up to `max_capacity`; acquire beyond that reports
+  /// exhaustion, mimicking mempool depletion.  Simulation kernels start
+  /// with an empty pool (initial_capacity 0), so a pool holds only as many
+  /// packets as its run ever has in flight at once.
   explicit PacketPool(std::size_t initial_capacity = 1024,
-                      std::size_t max_capacity = 1 << 20);
+                      std::size_t max_capacity = kDefaultMaxCapacity);
   ~PacketPool();
 
   PacketPool(const PacketPool&) = delete;

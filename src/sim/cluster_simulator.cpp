@@ -7,10 +7,18 @@
 
 namespace pam {
 
+namespace {
+// The shared pool's exhaustion ceiling scales with the fleet: 4096 packets
+// per server, never below PacketPool's default.  The pool itself starts
+// empty, so an idle rack costs no packets.
+constexpr std::size_t kPoolPacketsPerServer = 4096;
+}  // namespace
+
 ClusterSimulator::ClusterSimulator(std::size_t num_servers, Calibration calibration,
                                    SimTime inter_server_latency)
     : calibration_(calibration),
-      kernel_(4096 * std::max<std::size_t>(num_servers, 1)),
+      kernel_(std::max(PacketPool::kDefaultMaxCapacity,
+                       kPoolPacketsPerServer * std::max<std::size_t>(num_servers, 1))),
       inter_server_latency_(inter_server_latency) {
   assert(num_servers > 0);
   servers_.reserve(num_servers);

@@ -10,8 +10,8 @@ namespace {
 constexpr std::size_t kPcieQueueFactor = 4;  // link ring deeper than NF queues
 }
 
-SimulationKernel::SimulationKernel(std::size_t pool_capacity)
-    : pool_(pool_capacity) {}
+SimulationKernel::SimulationKernel(std::size_t pool_ceiling)
+    : pool_(0, pool_ceiling) {}
 
 void SimulationKernel::schedule_periodic(SimTime start, SimTime period,
                                          EventQueue::Action fn) {

@@ -32,7 +32,10 @@ struct Calibration;
 
 class SimulationKernel {
  public:
-  explicit SimulationKernel(std::size_t pool_capacity = 4096);
+  /// The pool starts empty and grows on demand; `pool_ceiling` is the
+  /// number of packets it may hold before acquire reports exhaustion.
+  explicit SimulationKernel(
+      std::size_t pool_ceiling = PacketPool::kDefaultMaxCapacity);
 
   SimulationKernel(const SimulationKernel&) = delete;
   SimulationKernel& operator=(const SimulationKernel&) = delete;

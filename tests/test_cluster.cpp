@@ -256,6 +256,23 @@ TEST(Cluster, ChurnWindowBoundsInjectionAndConserves) {
   EXPECT_EQ(cluster.kernel().pool().in_use(), 0u);
 }
 
+TEST(Cluster, LargeUnshardedFleetBuildsAndRuns) {
+  // 300 servers put the pool ceiling (4096 per server) above PacketPool's
+  // default; the shared pool must still start empty and drain fully.
+  ClusterSimulator cluster{300};
+  EXPECT_EQ(cluster.kernel().pool().capacity(), 0u);
+  cluster.add_chain(paper_figure1_chain(), traffic(1.0, 51), 0);
+  cluster.add_chain(paper_figure1_chain(), traffic(0.5, 52), 299);
+  const ClusterReport report =
+      cluster.run(SimTime::milliseconds(5), SimTime::milliseconds(1));
+  EXPECT_GT(report.injected, 0u);
+  EXPECT_TRUE(report.conserved());
+  EXPECT_EQ(report.in_flight_at_end, 0u);
+  EXPECT_GT(cluster.kernel().pool().capacity(), 0u);
+  EXPECT_EQ(cluster.kernel().pool().exhaustions(), 0u);
+  EXPECT_EQ(cluster.kernel().pool().in_use(), 0u);
+}
+
 constexpr const char* kClusterScn = R"(
 [scenario]
 name = cluster-test

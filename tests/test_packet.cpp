@@ -251,6 +251,25 @@ TEST(PacketPool, GrowsUpToMax) {
   EXPECT_EQ(pool.exhaustions(), 1u);
 }
 
+TEST(PacketPool, EmptyPoolGrowsOnDemandToItsCeiling) {
+  // Simulation kernels build their pools empty: packets exist only once
+  // acquired, and the ceiling still bounds growth.
+  PacketPool pool{0, 2};
+  EXPECT_EQ(pool.capacity(), 0u);
+  auto a = pool.acquire(64);
+  EXPECT_TRUE(a);
+  EXPECT_EQ(pool.capacity(), 1u);
+  auto b = pool.acquire(64);
+  EXPECT_TRUE(b);
+  EXPECT_EQ(pool.capacity(), 2u);
+  EXPECT_EQ(pool.exhaustions(), 0u);
+  auto c = pool.acquire(64);
+  EXPECT_FALSE(c);  // exhausted
+  EXPECT_EQ(pool.capacity(), 2u);
+  EXPECT_EQ(pool.exhaustions(), 1u);
+  EXPECT_EQ(pool.in_use(), 2u);
+}
+
 TEST(PacketPool, RecyclesInsteadOfGrowing) {
   PacketPool pool{2, 8};
   for (int i = 0; i < 100; ++i) {

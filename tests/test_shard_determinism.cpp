@@ -14,10 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "chain/chain_builder.hpp"
 #include "experiment/invariants.hpp"
 #include "experiment/metrics_sink.hpp"
 #include "experiment/scenario_runner.hpp"
 #include "experiment/scenario_spec.hpp"
+#include "sim/datacenter_simulator.hpp"
 #include "sim/epoch_executor.hpp"
 #include "sim/shard_fabric.hpp"
 
@@ -179,6 +181,40 @@ TEST(ShardDeterminism, UnshardedJsonCarriesNoShardFields) {
   EXPECT_EQ(json.find("\"epochs\""), std::string::npos);
   EXPECT_EQ(json.find("\"cross_rack_moves\""), std::string::npos);
   EXPECT_EQ(json.find("\"nodes_remote\""), std::string::npos);
+}
+
+TEST(ShardDeterminism, IdleRacksAllocateNoPackets) {
+  // The benchmark datacenter's shape: 1024 servers in 64 racks with only a
+  // few racks carrying traffic.  A rack's pool holds packets only once its
+  // shard acquires them, so idle racks cost nothing at set-up or after.
+  DatacenterSimulator::Options options;
+  options.servers_total = 1024;
+  options.shards = 64;
+  DatacenterSimulator dc{options};
+  TrafficSourceConfig traffic;
+  traffic.rate = RateProfile::constant(Gbps{1.0});
+  traffic.sizes = PacketSizeDistribution::fixed(512);
+  traffic.seed = 11;
+  dc.add_chain(paper_figure1_chain(), traffic, 0);
+  traffic.seed = 12;
+  dc.add_chain(paper_figure1_chain(), traffic, 5 * dc.per_rack());
+  for (std::size_t r = 0; r < dc.num_racks(); ++r) {
+    EXPECT_EQ(dc.rack(r).kernel().pool().capacity(), 0u) << "rack " << r;
+  }
+
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(2), SimTime::milliseconds(0.5), 2);
+  EXPECT_GT(report.cluster.injected, 0u);
+  EXPECT_TRUE(report.cluster.conserved());
+  for (std::size_t r = 0; r < dc.num_racks(); ++r) {
+    const PacketPool& pool = dc.rack(r).kernel().pool();
+    if (r == 0 || r == 5) {
+      EXPECT_GT(pool.capacity(), 0u) << "rack " << r;
+    } else {
+      EXPECT_EQ(pool.capacity(), 0u) << "rack " << r;
+    }
+    EXPECT_EQ(pool.in_use(), 0u) << "rack " << r;
+  }
 }
 
 // --- EpochExecutor ------------------------------------------------------------
