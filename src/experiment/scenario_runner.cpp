@@ -361,309 +361,66 @@ Result<RunResult> run_deployment(const ScenarioSpec& spec) {
   return result;
 }
 
-Result<RunResult> run_cluster(const ScenarioSpec& spec) {
-  RunResult result;
-  result.spec = spec;
-  const ClusterSpec& cs = spec.cluster;
+/// The [cluster] control knobs shared by the rack controllers and the
+/// datacenter orchestrator.
+template <typename Options>
+Options fleet_control_options(const ClusterSpec& cs) {
+  Options opts;
+  opts.trigger_utilization = cs.trigger_utilization;
+  opts.target_max_load = cs.target_max_load;
+  opts.period = SimTime::milliseconds(cs.period_ms);
+  opts.first_check = SimTime::milliseconds(cs.first_check_ms);
+  opts.cooldown = SimTime::milliseconds(cs.cooldown_ms);
+  return opts;
+}
 
-  ClusterSimulator cluster{cs.servers, Calibration::defaults(),
-                           SimTime::microseconds(cs.inter_server_us)};
-  std::vector<std::string> before;
-  std::vector<std::size_t> homes;
-  before.reserve(spec.chains.size());
-  homes.reserve(spec.chains.size());
-  for (std::size_t i = 0; i < spec.chains.size(); ++i) {
-    const ChainDecl& decl = spec.chains[i];
-    auto parsed = parse_chain_spec(decl.spec, decl.name);
-    if (!parsed) {
-      return Error{format("chain '%s': %s", decl.name.c_str(),
-                          parsed.error().what().c_str())};
-    }
-    const std::size_t home = decl.server >= 0
-                                 ? static_cast<std::size_t>(decl.server)
-                                 : i % cs.servers;
-    TrafficSourceConfig cfg;
-    cfg.rate = decl.has_rate ? profile_of(decl.rate)
-                             : RateProfile::constant(Gbps{decl.offered_gbps});
-    cfg.process = spec.traffic.arrival;
-    cfg.sizes =
-        dist_for(spec.traffic.sizes, size_points(spec.traffic.sizes).front());
-    // One seed lineage: every per-chain stream derives from the scenario
-    // seed through a splitmix64 mix, never from clocks or random_device.
-    cfg.seed = Rng::derive(spec.seed, i);
-    before.push_back(parsed.value().describe());
-    homes.push_back(home);
-    cluster.add_chain(std::move(parsed).value(), std::move(cfg), home);
-    if (decl.arrive_ms > 0.0 || decl.depart_ms >= 0.0) {
-      cluster.chain_sim(i).set_active_window(
-          SimTime::milliseconds(decl.arrive_ms),
-          decl.depart_ms >= 0.0 ? SimTime::milliseconds(decl.depart_ms)
-                                : SimTime::nanoseconds(-1));
-    }
-  }
-
-  std::optional<FleetController> fleet;
-  if (cs.rebalance) {
-    FleetControllerOptions opts;
-    opts.trigger_utilization = cs.trigger_utilization;
-    opts.target_max_load = cs.target_max_load;
-    opts.period = SimTime::milliseconds(cs.period_ms);
-    opts.first_check = SimTime::milliseconds(cs.first_check_ms);
-    opts.cooldown = SimTime::milliseconds(cs.cooldown_ms);
+/// One FleetController per rack, armed, with the [chain] policy overrides
+/// installed on each chain's home-rack controller.
+Result<std::vector<std::unique_ptr<FleetController>>> arm_rack_controllers(
+    const ScenarioSpec& spec, DatacenterSimulator& dc) {
+  const auto opts = fleet_control_options<FleetControllerOptions>(spec.cluster);
+  std::vector<std::unique_ptr<FleetController>> controllers;
+  controllers.reserve(dc.num_racks());
+  for (std::size_t r = 0; r < dc.num_racks(); ++r) {
     auto policy = make_policy(spec.policy);
     if (!policy) {
       return policy.error();
     }
-    fleet.emplace(cluster, std::move(policy).value(), opts);
-    // Heterogeneous fleets: per-chain [chain] policy overrides.
-    for (std::size_t i = 0; i < spec.chains.size(); ++i) {
-      if (spec.chains[i].policy.empty()) {
-        continue;
-      }
-      auto chain_policy = make_policy(spec.chains[i].policy);
-      if (!chain_policy) {
-        return chain_policy.error();
-      }
-      fleet->set_chain_policy(i, std::move(chain_policy).value());
+    controllers.push_back(std::make_unique<FleetController>(
+        dc.rack(r), std::move(policy).value(), opts));
+  }
+  // Heterogeneous fleets: per-chain [chain] policy overrides.
+  for (std::size_t i = 0; i < spec.chains.size(); ++i) {
+    if (spec.chains[i].policy.empty()) {
+      continue;
     }
-    fleet->arm();
-  }
-
-  // Failure kind: each event kills a slot (placement-level: bound work keeps
-  // draining through the ToR) and lets the fleet controller evacuate the
-  // resident NFs loss-free; optional recovery re-admits the slot.
-  FleetController* fleet_ptr = fleet ? &*fleet : nullptr;
-  for (const FailureEvent& ev : spec.failures) {
-    const std::size_t victim = ev.server;
-    cluster.kernel().schedule_at(
-        SimTime::milliseconds(ev.at_ms), [&cluster, fleet_ptr, victim] {
-          cluster.fail_server(victim);
-          if (fleet_ptr != nullptr) {
-            fleet_ptr->on_server_failed(victim);
-          }
-        });
-    if (ev.recover_ms >= 0.0) {
-      cluster.kernel().schedule_at(
-          SimTime::milliseconds(ev.recover_ms),
-          [&cluster, victim] { cluster.recover_server(victim); });
+    auto chain_policy = make_policy(spec.chains[i].policy);
+    if (!chain_policy) {
+      return chain_policy.error();
     }
+    controllers[dc.home_rack_of(i)]->set_chain_policy(
+        dc.local_chain_of(i), std::move(chain_policy).value());
   }
-
-  // Hostile kind: replay the link trace — fabric delay steps plus per-slot
-  // capacity fades (degraded devices serve slower, so live load climbs).
-  for (const LinkTraceSpec::FabricPoint& point : spec.link.fabric) {
-    cluster.kernel().schedule_at(
-        SimTime::milliseconds(point.at_ms), [&cluster, us = point.delay_us] {
-          cluster.set_fabric_latency(SimTime::microseconds(us));
-        });
+  for (auto& controller : controllers) {
+    controller->arm();
   }
-  for (const LinkTraceSpec::SlotFade& fade : spec.link.fades) {
-    cluster.kernel().schedule_at(
-        SimTime::milliseconds(fade.at_ms),
-        [&cluster, s = fade.server, speed = fade.speed] {
-          cluster.set_slot_speed(s, speed);
-        });
-  }
-
-  const ClusterReport report = cluster.run(
-      SimTime::milliseconds(spec.duration_ms), SimTime::milliseconds(spec.warmup_ms));
-
-  ClusterResult cr;
-  cr.servers = cs.servers;
-  cr.rebalance = cs.rebalance;
-  if (fleet) {
-    cr.events = fleet->events();
-    cr.migrations_executed = fleet->migrations_executed();
-    cr.scale_out_moves = fleet->scale_out_moves();
-    cr.evacuations = fleet->evacuations();
-  }
-
-  const std::size_t point = spec.traffic.sizes.kind == SizeSpec::Kind::kFixed
-                                ? spec.traffic.sizes.fixed
-                                : 0;
-  MeasuredRun fleet_run;
-  fleet_run.size_bytes = point;
-  double crossings_weighted = 0.0;
-  std::uint64_t crossings_weight = 0;
-  cr.chains.reserve(report.per_chain.size());
-  for (std::size_t i = 0; i < report.per_chain.size(); ++i) {
-    const SimReport& chain_report = report.per_chain[i];
-    ClusterChainResult chain_result;
-    chain_result.name = spec.chains[i].name;
-    chain_result.home_server = homes[i];
-    chain_result.chain_before = before[i];
-    chain_result.chain_after = cluster.chain_sim(i).chain().describe();
-    chain_result.nodes_off_home = cluster.chain_sim(i).nodes_off_home();
-    chain_result.inter_server_hops = chain_report.inter_server_hops;
-    chain_result.metrics = to_measured(chain_report, point);
-    cr.chains.push_back(std::move(chain_result));
-
-    fleet_run.injected += chain_report.injected;
-    fleet_run.delivered += chain_report.delivered;
-    fleet_run.dropped_queue_nic += chain_report.dropped_queue_nic;
-    fleet_run.dropped_queue_cpu += chain_report.dropped_queue_cpu;
-    fleet_run.dropped_queue_pcie += chain_report.dropped_queue_pcie;
-    fleet_run.dropped_by_nf += chain_report.dropped_by_nf;
-    fleet_run.in_flight_at_end += chain_report.in_flight_at_end;
-    crossings_weighted += chain_report.mean_crossings_per_packet *
-                          static_cast<double>(chain_report.measured_delivered);
-    crossings_weight += chain_report.measured_delivered;
-  }
-  cr.per_server.reserve(report.per_server.size());
-  for (const ServerSummary& sum : report.per_server) {
-    ClusterServerResult server_result;
-    server_result.server_id = sum.server_id;
-    server_result.chains_homed = sum.chains_homed;
-    server_result.nodes_hosted = sum.nodes_hosted;
-    server_result.smartnic_utilization = sum.smartnic_utilization;
-    server_result.cpu_utilization = sum.cpu_utilization;
-    server_result.pcie_utilization = sum.pcie_utilization;
-    server_result.injected = sum.injected;
-    server_result.delivered = sum.delivered;
-    server_result.dropped = sum.dropped;
-    cr.per_server.push_back(server_result);
-    // Fleet utilisation = the hottest slot (bottleneck view).
-    fleet_run.smartnic_utilization =
-        std::max(fleet_run.smartnic_utilization, sum.smartnic_utilization);
-    fleet_run.cpu_utilization =
-        std::max(fleet_run.cpu_utilization, sum.cpu_utilization);
-    fleet_run.pcie_utilization =
-        std::max(fleet_run.pcie_utilization, sum.pcie_utilization);
-  }
-  fleet_run.offered_gbps = report.offered_rate.value();
-  fleet_run.goodput_gbps = report.egress_goodput.value();
-  fleet_run.latency = summarize(report.latency);
-  fleet_run.mean_crossings_per_packet =
-      crossings_weight > 0 ? crossings_weighted / static_cast<double>(crossings_weight)
-                           : 0.0;
-  cr.fleet = fleet_run;
-  cr.inter_server_hops = report.inter_server_hops;
-  cr.conserved = report.conserved();
-
-  result.cluster = std::move(cr);
-  return result;
+  return controllers;
 }
 
-/// The sharded run path ([cluster] shards > 1): per-rack KernelShards in
-/// lock-step epochs, per-rack FleetControllers, and optionally the
-/// DatacenterOrchestrator leasing chains across racks at epoch barriers.
-/// Mirrors run_cluster's wiring; results carry global server/chain ids and
-/// are bit-identical for any thread count.
-Result<RunResult> run_datacenter(const ScenarioSpec& spec,
-                                 std::size_t threads) {
-  RunResult result;
-  result.spec = spec;
-  const ClusterSpec& cs = spec.cluster;
-
-  DatacenterSimulator::Options options;
-  options.shards = cs.shards;
-  options.servers_total = cs.servers;
-  options.calibration = Calibration::defaults();
-  options.intra_rack_latency = SimTime::microseconds(cs.inter_server_us);
-  options.cross_rack_latency = SimTime::microseconds(cs.cross_rack_us);
-  DatacenterSimulator dc{options};
-
-  std::vector<std::string> before;
-  std::vector<std::size_t> homes;
-  std::vector<std::vector<std::size_t>> local_to_global(dc.num_racks());
-  before.reserve(spec.chains.size());
-  homes.reserve(spec.chains.size());
-  for (std::size_t i = 0; i < spec.chains.size(); ++i) {
-    const ChainDecl& decl = spec.chains[i];
-    auto parsed = parse_chain_spec(decl.spec, decl.name);
-    if (!parsed) {
-      return Error{format("chain '%s': %s", decl.name.c_str(),
-                          parsed.error().what().c_str())};
-    }
-    const std::size_t home = decl.server >= 0
-                                 ? static_cast<std::size_t>(decl.server)
-                                 : i % cs.servers;
-    TrafficSourceConfig cfg;
-    cfg.rate = decl.has_rate ? profile_of(decl.rate)
-                             : RateProfile::constant(Gbps{decl.offered_gbps});
-    cfg.process = spec.traffic.arrival;
-    cfg.sizes =
-        dist_for(spec.traffic.sizes, size_points(spec.traffic.sizes).front());
-    // Same lineage as the single-kernel path: stream i derives from the
-    // scenario seed alone — which rack (or thread) runs the chain never
-    // enters the stream.
-    cfg.seed = Rng::derive(spec.seed, i);
-    before.push_back(parsed.value().describe());
-    homes.push_back(home);
-    const std::size_t global_c =
-        dc.add_chain(std::move(parsed).value(), std::move(cfg), home);
-    (void)global_c;
-    local_to_global[dc.home_rack_of(i)].push_back(i);
-    if (decl.arrive_ms > 0.0 || decl.depart_ms >= 0.0) {
-      dc.chain_sim(i).set_active_window(
-          SimTime::milliseconds(decl.arrive_ms),
-          decl.depart_ms >= 0.0 ? SimTime::milliseconds(decl.depart_ms)
-                                : SimTime::nanoseconds(-1));
-    }
-  }
-
-  std::vector<std::unique_ptr<FleetController>> rack_controllers;
-  if (cs.rebalance) {
-    FleetControllerOptions opts;
-    opts.trigger_utilization = cs.trigger_utilization;
-    opts.target_max_load = cs.target_max_load;
-    opts.period = SimTime::milliseconds(cs.period_ms);
-    opts.first_check = SimTime::milliseconds(cs.first_check_ms);
-    opts.cooldown = SimTime::milliseconds(cs.cooldown_ms);
-    rack_controllers.reserve(dc.num_racks());
-    for (std::size_t r = 0; r < dc.num_racks(); ++r) {
-      auto policy = make_policy(spec.policy);
-      if (!policy) {
-        return policy.error();
-      }
-      rack_controllers.push_back(std::make_unique<FleetController>(
-          dc.rack(r), std::move(policy).value(), opts));
-    }
-    for (std::size_t i = 0; i < spec.chains.size(); ++i) {
-      if (spec.chains[i].policy.empty()) {
-        continue;
-      }
-      auto chain_policy = make_policy(spec.chains[i].policy);
-      if (!chain_policy) {
-        return chain_policy.error();
-      }
-      rack_controllers[dc.home_rack_of(i)]->set_chain_policy(
-          dc.local_chain_of(i), std::move(chain_policy).value());
-    }
-    for (auto& controller : rack_controllers) {
-      controller->arm();
-    }
-  }
-
-  std::optional<DatacenterOrchestrator> orchestrator;
-  if (cs.rebalance && cs.orchestrate) {
-    DatacenterOrchestratorOptions opts;
-    opts.trigger_utilization = cs.trigger_utilization;
-    opts.target_max_load = cs.target_max_load;
-    opts.period = SimTime::milliseconds(cs.period_ms);
-    opts.first_check = SimTime::milliseconds(cs.first_check_ms);
-    opts.cooldown = SimTime::milliseconds(cs.cooldown_ms);
-    std::vector<FleetController*> racks;
-    racks.reserve(rack_controllers.size());
-    for (auto& controller : rack_controllers) {
-      racks.push_back(controller.get());
-    }
-    orchestrator.emplace(dc, std::move(racks), opts);
-    dc.set_barrier_hook(
-        [&orchestrator](SimTime t, bool draining) {
-          orchestrator->on_barrier(t, draining);
-        });
-    dc.set_drain_gate([&orchestrator] { return orchestrator->has_pending(); });
-  }
-
-  // Failure kind: each event is a rack-local perturbation, scheduled on the
-  // victim's own shard so no other shard observes it mid-epoch.
+/// Failure and hostile kinds: every perturbation is a rack-local event,
+/// scheduled on the owning rack's shard so no other shard observes it
+/// mid-epoch.  A failure kills a slot (bound work keeps draining through the
+/// ToR) and lets the rack's controller evacuate it loss-free; fabric delay
+/// steps hit every rack's intra-rack fabric; fades slow one slot's devices.
+void schedule_perturbations(
+    const ScenarioSpec& spec, DatacenterSimulator& dc,
+    const std::vector<std::unique_ptr<FleetController>>& controllers) {
   for (const FailureEvent& ev : spec.failures) {
     const std::size_t r = dc.rack_of(ev.server);
     const std::size_t slot = dc.slot_of(ev.server);
     ClusterSimulator* rack = &dc.rack(r);
     FleetController* controller =
-        r < rack_controllers.size() ? rack_controllers[r].get() : nullptr;
+        r < controllers.size() ? controllers[r].get() : nullptr;
     dc.schedule_on_rack(r, SimTime::milliseconds(ev.at_ms),
                         [rack, controller, slot] {
                           rack->fail_server(slot);
@@ -676,63 +433,31 @@ Result<RunResult> run_datacenter(const ScenarioSpec& spec,
                           [rack, slot] { rack->recover_server(slot); });
     }
   }
-
-  // Hostile kind: fabric delay steps hit every rack's intra-rack fabric (one
-  // rack-local event per shard); capacity fades hit the owning rack only.
   for (const LinkTraceSpec::FabricPoint& point : spec.link.fabric) {
     dc.schedule_fabric_latency(SimTime::milliseconds(point.at_ms),
                                SimTime::microseconds(point.delay_us));
   }
   for (const LinkTraceSpec::SlotFade& fade : spec.link.fades) {
     const std::size_t r = dc.rack_of(fade.server);
-    const std::size_t slot = dc.slot_of(fade.server);
     ClusterSimulator* rack = &dc.rack(r);
     dc.schedule_on_rack(r, SimTime::milliseconds(fade.at_ms),
-                        [rack, slot, speed = fade.speed] {
+                        [rack, slot = dc.slot_of(fade.server),
+                         speed = fade.speed] {
                           rack->set_slot_speed(slot, speed);
                         });
   }
+}
 
-  const DatacenterReport dr =
-      dc.run(SimTime::milliseconds(spec.duration_ms),
-             SimTime::milliseconds(spec.warmup_ms),
-             threads > 0 ? threads : cs.threads);
-  const ClusterReport& report = dr.cluster;
-
-  ClusterResult cr;
-  cr.servers = cs.servers;
-  cr.rebalance = cs.rebalance;
-  cr.shards = cs.shards;
-
-  // Event log: rack controllers speak rack-local chain and slot ids; remap
-  // the structured fields to global ids (narrative `detail` strings keep
-  // their rack-local view) and merge with the orchestrator's (already
-  // global) events in barrier order.  stable_sort keeps the per-source
-  // emission order among same-instant events, so the merge is deterministic.
-  for (std::size_t r = 0; r < rack_controllers.size(); ++r) {
-    for (ControlEvent ev : rack_controllers[r]->events()) {
-      ev.chain = local_to_global[r].at(ev.chain);
-      ev.server = dc.global_server(r, ev.server);
-      cr.events.push_back(std::move(ev));
-    }
-    cr.migrations_executed += rack_controllers[r]->migrations_executed();
-    cr.scale_out_moves += rack_controllers[r]->scale_out_moves();
-    cr.evacuations += rack_controllers[r]->evacuations();
-  }
-  if (orchestrator) {
-    const auto& events = orchestrator->events();
-    cr.events.insert(cr.events.end(), events.begin(), events.end());
-    cr.cross_rack_moves = orchestrator->cross_rack_moves();
-  }
-  std::stable_sort(cr.events.begin(), cr.events.end(),
-                   [](const ControlEvent& a, const ControlEvent& b) {
-                     return a.at < b.at;
-                   });
-
+/// Per-chain and per-server results plus the fleet aggregation of `report`;
+/// fleet utilisation is the hottest slot's (bottleneck view).
+void fill_fleet_metrics(const ScenarioSpec& spec, DatacenterSimulator& dc,
+                        const ClusterReport& report,
+                        const std::vector<std::string>& before,
+                        ClusterResult& cr) {
   const std::size_t point = spec.traffic.sizes.kind == SizeSpec::Kind::kFixed
                                 ? spec.traffic.sizes.fixed
                                 : 0;
-  MeasuredRun fleet_run;
+  MeasuredRun& fleet_run = cr.fleet;
   fleet_run.size_bytes = point;
   double crossings_weighted = 0.0;
   std::uint64_t crossings_weight = 0;
@@ -741,7 +466,7 @@ Result<RunResult> run_datacenter(const ScenarioSpec& spec,
     const SimReport& chain_report = report.per_chain[i];
     ClusterChainResult chain_result;
     chain_result.name = spec.chains[i].name;
-    chain_result.home_server = homes[i];
+    chain_result.home_server = dc.home_server_of(i);
     chain_result.chain_before = before[i];
     chain_result.chain_after = dc.chain_sim(i).chain().describe();
     chain_result.nodes_off_home = dc.chain_sim(i).nodes_off_home();
@@ -761,19 +486,8 @@ Result<RunResult> run_datacenter(const ScenarioSpec& spec,
                           static_cast<double>(chain_report.measured_delivered);
     crossings_weight += chain_report.measured_delivered;
   }
-  cr.per_server.reserve(report.per_server.size());
+  cr.per_server = report.per_server;
   for (const ServerSummary& sum : report.per_server) {
-    ClusterServerResult server_result;
-    server_result.server_id = sum.server_id;
-    server_result.chains_homed = sum.chains_homed;
-    server_result.nodes_hosted = sum.nodes_hosted;
-    server_result.smartnic_utilization = sum.smartnic_utilization;
-    server_result.cpu_utilization = sum.cpu_utilization;
-    server_result.pcie_utilization = sum.pcie_utilization;
-    server_result.injected = sum.injected;
-    server_result.delivered = sum.delivered;
-    server_result.dropped = sum.dropped;
-    cr.per_server.push_back(server_result);
     fleet_run.smartnic_utilization =
         std::max(fleet_run.smartnic_utilization, sum.smartnic_utilization);
     fleet_run.cpu_utilization =
@@ -787,29 +501,141 @@ Result<RunResult> run_datacenter(const ScenarioSpec& spec,
   fleet_run.mean_crossings_per_packet =
       crossings_weight > 0 ? crossings_weighted / static_cast<double>(crossings_weight)
                            : 0.0;
-  cr.fleet = fleet_run;
   cr.inter_server_hops = report.inter_server_hops;
   cr.conserved = report.conserved();
+}
 
-  cr.cross_rack_hops = report.cross_rack_hops;
-  cr.cross_rack_frames = dr.cross_rack_frames;
-  cr.epochs = dr.epochs;
-  cr.shard_totals.reserve(dr.shards.size());
-  for (const ShardSummary& shard : dr.shards) {
-    ClusterShardResult sr;
-    sr.shard = shard.shard;
-    sr.first_server = shard.first_server;
-    sr.servers = shard.servers;
-    sr.events_executed = shard.events_executed;
-    sr.injected = shard.injected;
-    sr.delivered = shard.delivered;
-    sr.dropped = shard.dropped;
-    sr.in_flight_at_end = shard.in_flight_at_end;
-    sr.frames_out = shard.frames_out;
-    cr.shard_totals.push_back(sr);
+/// The fleet's control log and counters.  Rack controllers speak
+/// rack-local chain and slot ids: remap the structured fields to global ids
+/// (narrative `detail` strings keep their rack-local view) and merge with
+/// the orchestrator's (already global) events in barrier order.
+/// stable_sort keeps the per-source emission order among same-instant
+/// events, so the merge is deterministic.
+void merge_control_events(
+    const DatacenterSimulator& dc,
+    const std::vector<std::unique_ptr<FleetController>>& controllers,
+    const DatacenterOrchestrator* orchestrator, ClusterResult& cr) {
+  // Rack-local chain ids are handed out in add order.
+  std::vector<std::vector<std::size_t>> local_to_global(dc.num_racks());
+  for (std::size_t c = 0; c < dc.num_chains(); ++c) {
+    local_to_global[dc.home_rack_of(c)].push_back(c);
+  }
+  for (std::size_t r = 0; r < controllers.size(); ++r) {
+    for (ControlEvent ev : controllers[r]->events()) {
+      ev.chain = local_to_global[r].at(ev.chain);
+      ev.server = dc.global_server(r, ev.server);
+      cr.events.push_back(std::move(ev));
+    }
+    cr.migrations_executed += controllers[r]->migrations_executed();
+    cr.scale_out_moves += controllers[r]->scale_out_moves();
+    cr.evacuations += controllers[r]->evacuations();
+  }
+  if (orchestrator != nullptr) {
+    const auto& events = orchestrator->events();
+    cr.events.insert(cr.events.end(), events.begin(), events.end());
+    cr.cross_rack_moves = orchestrator->cross_rack_moves();
+  }
+  std::stable_sort(cr.events.begin(), cr.events.end(),
+                   [](const ControlEvent& a, const ControlEvent& b) {
+                     return a.at < b.at;
+                   });
+}
+
+/// The one fleet run path, for every fleet kind and any [cluster] shards:
+/// per-rack ClusterSimulator shards in lock-step epochs (one shard is the
+/// unsharded rack), a FleetController per rack, and — only with several
+/// racks — the DatacenterOrchestrator leasing chains across racks at epoch
+/// barriers.  Results carry global server/chain ids and are bit-identical
+/// for any thread count.
+Result<RunResult> run_fleet(const ScenarioSpec& spec, std::size_t threads) {
+  const ClusterSpec& cs = spec.cluster;
+  DatacenterSimulator::Options options;
+  options.shards = cs.shards;
+  options.servers_total = cs.servers;
+  options.calibration = Calibration::defaults();
+  options.intra_rack_latency = SimTime::microseconds(cs.inter_server_us);
+  options.cross_rack_latency = SimTime::microseconds(cs.cross_rack_us);
+  DatacenterSimulator dc{options};
+
+  std::vector<std::string> before;
+  before.reserve(spec.chains.size());
+  for (std::size_t i = 0; i < spec.chains.size(); ++i) {
+    const ChainDecl& decl = spec.chains[i];
+    auto parsed = parse_chain_spec(decl.spec, decl.name);
+    if (!parsed) {
+      return Error{format("chain '%s': %s", decl.name.c_str(),
+                          parsed.error().what().c_str())};
+    }
+    TrafficSourceConfig cfg;
+    cfg.rate = decl.has_rate ? profile_of(decl.rate)
+                             : RateProfile::constant(Gbps{decl.offered_gbps});
+    cfg.process = spec.traffic.arrival;
+    cfg.sizes =
+        dist_for(spec.traffic.sizes, size_points(spec.traffic.sizes).front());
+    // One seed lineage: stream i derives from the scenario seed alone
+    // through a splitmix64 mix — never from clocks, random_device, or the
+    // rack (or thread) that runs the chain.
+    cfg.seed = Rng::derive(spec.seed, i);
+    before.push_back(parsed.value().describe());
+    dc.add_chain(std::move(parsed).value(), std::move(cfg),
+                 decl.server >= 0 ? static_cast<std::size_t>(decl.server)
+                                  : i % cs.servers);
+    if (decl.arrive_ms > 0.0 || decl.depart_ms >= 0.0) {
+      dc.chain_sim(i).set_active_window(
+          SimTime::milliseconds(decl.arrive_ms),
+          decl.depart_ms >= 0.0 ? SimTime::milliseconds(decl.depart_ms)
+                                : SimTime::nanoseconds(-1));
+    }
   }
 
-  result.cluster = std::move(cr);
+  std::vector<std::unique_ptr<FleetController>> rack_controllers;
+  if (cs.rebalance) {
+    auto armed = arm_rack_controllers(spec, dc);
+    if (!armed) {
+      return armed.error();
+    }
+    rack_controllers = std::move(armed).value();
+  }
+
+  // With one rack there is nowhere to lease to: an orchestrator would only
+  // hold back the rack controller and log infeasible leases.
+  std::optional<DatacenterOrchestrator> orchestrator;
+  if (cs.rebalance && cs.orchestrate && cs.shards > 1) {
+    std::vector<FleetController*> racks;
+    racks.reserve(rack_controllers.size());
+    for (auto& controller : rack_controllers) {
+      racks.push_back(controller.get());
+    }
+    orchestrator.emplace(
+        dc, std::move(racks),
+        fleet_control_options<DatacenterOrchestratorOptions>(cs));
+    dc.set_barrier_hook([&orchestrator](SimTime t, bool draining) {
+      orchestrator->on_barrier(t, draining);
+    });
+    dc.set_drain_gate([&orchestrator] { return orchestrator->has_pending(); });
+  }
+
+  schedule_perturbations(spec, dc, rack_controllers);
+
+  const DatacenterReport dr =
+      dc.run(SimTime::milliseconds(spec.duration_ms),
+             SimTime::milliseconds(spec.warmup_ms),
+             threads > 0 ? threads : cs.threads);
+
+  RunResult result;
+  result.spec = spec;
+  ClusterResult& cr = result.cluster.emplace();
+  cr.servers = cs.servers;
+  cr.rebalance = cs.rebalance;
+  cr.shards = cs.shards;
+
+  merge_control_events(dc, rack_controllers,
+                       orchestrator ? &*orchestrator : nullptr, cr);
+  fill_fleet_metrics(spec, dc, dr.cluster, before, cr);
+  cr.cross_rack_hops = dr.cluster.cross_rack_hops;
+  cr.cross_rack_frames = dr.cross_rack_frames;
+  cr.epochs = dr.epochs;
+  cr.shard_totals = dr.shards;
   return result;
 }
 
@@ -842,10 +668,7 @@ Result<RunResult> ScenarioRunner::run(const ScenarioSpec& spec,
     case ScenarioKind::kChurn:
     case ScenarioKind::kFailure:
     case ScenarioKind::kHostile:
-      // shards == 1 keeps the classic single-kernel path bit-for-bit; the
-      // sharded path is opt-in via [cluster] shards.
-      return spec.cluster.shards > 1 ? run_datacenter(spec, threads_override)
-                                     : run_cluster(spec);
+      return run_fleet(spec, threads_override);
   }
   return Error{"unknown scenario kind"};
 }

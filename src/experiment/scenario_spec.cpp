@@ -211,16 +211,29 @@ class SpecParser {
     return true;
   }
 
-  /// True when `ms` converts to at least one 1 ns clock tick.  A shorter
-  /// period (zero, negative, NaN) would re-arm a periodic event or a rate
-  /// cycle at the same instant forever.
-  static bool period_ticks(double ms) { return ms * 1e6 >= 1.0; }
+  /// True when `ns` is at least one 1 ns clock tick.  A shorter period or
+  /// epoch quantum (zero, negative, NaN) would re-arm a periodic event, a
+  /// rate cycle or an epoch at the same instant forever.
+  static bool ticks(double ns) { return ns >= 1.0; }
 
   bool need_period_ms(const KeyValue& kv, double& out) {
     if (!need_double(kv, out)) return false;
-    if (!period_ticks(out)) {
+    if (!ticks(out * 1e6)) {
       return fail(kv.line, format("key '%s': a period must be at least 1 ns "
                                   "(1e-6 ms), got '%s'",
+                                  kv.key.c_str(), kv.value.c_str()));
+    }
+    return true;
+  }
+
+  /// A latency in microseconds: 0 (immediate) or more.  Negative values
+  /// would be clamped to "now" by the event queue, and NaN has no integer
+  /// clock value at all.
+  bool need_latency_us(const KeyValue& kv, double& out) {
+    if (!need_double(kv, out)) return false;
+    if (!(out >= 0.0)) {
+      return fail(kv.line, format("key '%s': a latency must be >= 0 us, got "
+                                  "'%s'",
                                   kv.key.c_str(), kv.value.c_str()));
     }
     return true;
@@ -350,7 +363,7 @@ class SpecParser {
                     format("rate: expected 'sinusoid BASE AMP period_ms=P', got '%s'",
                            kv.value.c_str()));
       }
-      if (!period_ticks(out.period_ms)) {
+      if (!ticks(out.period_ms * 1e6)) {
         return fail(kv.line, format("rate: sinusoid period_ms must be at least "
                                     "1 ns (1e-6 ms), got '%s'",
                                     tok[3].c_str()));
@@ -669,7 +682,7 @@ class SpecParser {
                                       kv.value.c_str()));
         }
       } else if (kv.key == "inter_server_us") {
-        if (!need_double(kv, spec_.cluster.inter_server_us)) return false;
+        if (!need_latency_us(kv, spec_.cluster.inter_server_us)) return false;
       } else if (kv.key == "trigger_utilization") {
         if (!need_double(kv, spec_.cluster.trigger_utilization)) return false;
       } else if (kv.key == "target_max_load") {
@@ -695,6 +708,12 @@ class SpecParser {
         cluster_sharded_line_ = kv.line;
       } else if (kv.key == "cross_rack_us") {
         if (!need_double(kv, spec_.cluster.cross_rack_us)) return false;
+        if (!ticks(spec_.cluster.cross_rack_us * 1e3)) {
+          return fail(kv.line, format("key 'cross_rack_us': the epoch quantum "
+                                      "must be at least 1 ns (0.001 us), got "
+                                      "'%s'",
+                                      kv.value.c_str()));
+        }
         cluster_sharded_line_ = kv.line;
       } else if (kv.key == "orchestrate") {
         if (kv.value == "on") {
@@ -754,7 +773,7 @@ class SpecParser {
         LinkTraceSpec::FabricPoint point;
         if (tok.size() != 2 || !parse_tagged_double(tok[0], "at_ms", point.at_ms) ||
             !parse_tagged_double(tok[1], "delay_us", point.delay_us) ||
-            point.delay_us < 0.0) {
+            !(point.delay_us >= 0.0)) {
           return fail(kv.line,
                       format("fabric: expected 'at_ms=T delay_us=D' with D >= 0, "
                              "got '%s'",
@@ -952,11 +971,6 @@ class SpecParser {
             format("[cluster] servers (%zu) must divide evenly into shards "
                    "(%zu)",
                    spec_.cluster.servers, spec_.cluster.shards));
-      }
-      if (spec_.cluster.shards > 1 && spec_.cluster.cross_rack_us <= 0.0) {
-        return fail_global(
-            "[cluster] cross_rack_us must be positive (it is the epoch "
-            "quantum)");
       }
     }
     if (is_failure) {

@@ -266,10 +266,12 @@ struct ClusterSpec {
   double first_check_ms = 10.0;
   double cooldown_ms = 20.0;
 
-  // --- sharded datacenter mode (shards > 1) ---------------------------------
-  /// Kernel shards (racks).  1 = the classic single-kernel rack; > 1
-  /// partitions the fleet into `shards` racks of servers/shards slots each,
-  /// advancing in lock-step epochs (sim/datacenter_simulator.hpp).
+  // --- datacenter racks -----------------------------------------------------
+  // threads, cross_rack_us and orchestrate are accepted only with shards > 1.
+  /// Kernel shards (racks) of servers/shards slots each, advancing in
+  /// lock-step epochs (sim/datacenter_simulator.hpp).  Every fleet run is a
+  /// datacenter run; 1 is a one-rack datacenter — the unsharded rack, with
+  /// no orchestrator and the pre-sharding report schema.
   std::size_t shards = 1;
   /// Worker threads for the epoch executor; results are bit-identical for
   /// any value.  Only meaningful (and only accepted) when shards > 1.

@@ -27,6 +27,12 @@
 // execution is single-threaded DES, the run is bit-identical for
 // threads=1 and threads=N — the thread count never appears in any result.
 //
+// Every fleet scenario runs here.  One shard is the unsharded rack: its
+// epochs only cut a single (at, seq) queue into slices, which never
+// reorders it, and no frame ever crosses the fabric.  The experiment layer
+// arms the DatacenterOrchestrator (control/orchestrator.hpp) only when
+// there are several racks to lease between.
+//
 // Cross-rack placement is lease-based: a chain node moved to another rack
 // (ControlEvent kind `cross_rack_move`) keeps its home-chain identity, but
 // its functional NF instance travels to the host rack, where each visit

@@ -653,7 +653,7 @@ measure_rate = cap x 1.2
 // the offending line.
 constexpr const char* kBadPeriods[] = {"0", "-5", "1e-9"};
 
-void expect_period_rejected(const std::string& text, int line,
+void expect_rejected_at(const std::string& text, int line,
                             const std::string& fragment) {
   const auto result = ScenarioSpec::parse(text);
   ASSERT_FALSE(result.has_value()) << text;
@@ -665,7 +665,7 @@ void expect_period_rejected(const std::string& text, int line,
 
 TEST(ScenarioSpecErrors, ControllerPeriodBelowOneTickRejected) {
   for (const char* bad : kBadPeriods) {
-    expect_period_rejected(
+    expect_rejected_at(
         std::string("[scenario]\nname = x\nkind = timeline\n"
                     "chain = wire | S:Monitor | wire\n"
                     "[traffic]\nrate = constant 2\n"
@@ -677,7 +677,7 @@ TEST(ScenarioSpecErrors, ControllerPeriodBelowOneTickRejected) {
 
 TEST(ScenarioSpecErrors, ClusterPeriodBelowOneTickRejected) {
   for (const char* bad : kBadPeriods) {
-    expect_period_rejected(
+    expect_rejected_at(
         std::string("[scenario]\nname = c\nkind = cluster\n"
                     "[chain]\nname = a\nspec = wire | S:Firewall | wire\n"
                     "[cluster]\nservers = 2\nperiod_ms = ") +
@@ -688,7 +688,7 @@ TEST(ScenarioSpecErrors, ClusterPeriodBelowOneTickRejected) {
 
 TEST(ScenarioSpecErrors, SinusoidPeriodBelowOneTickRejected) {
   for (const char* bad : kBadPeriods) {
-    expect_period_rejected(
+    expect_rejected_at(
         std::string("[scenario]\nname = x\nkind = timeline\n"
                     "chain = wire | S:Monitor | wire\n"
                     "[traffic]\nrate = sinusoid 2 0.5 period_ms=") +
@@ -705,6 +705,64 @@ TEST(ScenarioSpec, OneMicrosecondPeriodsAreAccepted) {
       "[controller]\nperiod_ms = 0.001\n");
   ASSERT_TRUE(result.has_value()) << result.error().what();
   EXPECT_DOUBLE_EQ(result.value().controller.period_ms, 0.001);
+}
+
+// The cross-rack latency is the epoch quantum: below one 1 ns tick the
+// epoch loop never advances its clock.
+std::string sharded_cluster_text(const std::string& cross_rack_us) {
+  return "[scenario]\nname = c\nkind = cluster\n"
+         "[chain]\nname = a\nspec = wire | S:Firewall | wire\n"
+         "[cluster]\nservers = 2\nshards = 2\ncross_rack_us = " +
+         cross_rack_us + "\n";
+}
+
+TEST(ScenarioSpecErrors, CrossRackQuantumBelowOneTickRejected) {
+  for (const char* bad : {"0.0005", "nan", "1e-300", "0", "-1"}) {
+    expect_rejected_at(sharded_cluster_text(bad), 10,
+                           "epoch quantum must be at least 1 ns");
+  }
+}
+
+TEST(ScenarioSpec, OneNanosecondCrossRackQuantumIsAccepted) {
+  const auto result = ScenarioSpec::parse(sharded_cluster_text("0.001"));
+  ASSERT_TRUE(result.has_value()) << result.error().what();
+  EXPECT_DOUBLE_EQ(result.value().cluster.cross_rack_us, 0.001);
+}
+
+// A negative latency would be clamped to "now" by the event queue and NaN
+// has no clock value; both are refused with their line, while 0
+// (immediate) stays valid.
+std::string cluster_latency_text(const std::string& inter_server_us) {
+  return "[scenario]\nname = c\nkind = cluster\n"
+         "[chain]\nname = a\nspec = wire | S:Firewall | wire\n"
+         "[cluster]\nservers = 2\ninter_server_us = " +
+         inter_server_us + "\n";
+}
+
+std::string fabric_delay_text(const std::string& delay_us) {
+  return "[scenario]\nname = h\nkind = hostile\n"
+         "[chain]\nname = a\nspec = wire | S:Firewall | wire\n"
+         "[cluster]\nservers = 2\n"
+         "[link]\nfabric = at_ms=1 delay_us=" +
+         delay_us + "\n";
+}
+
+TEST(ScenarioSpecErrors, NegativeOrNanLatencyRejected) {
+  for (const char* bad : {"-50", "nan"}) {
+    expect_rejected_at(cluster_latency_text(bad), 9,
+                           "latency must be >= 0 us");
+    expect_rejected_at(fabric_delay_text(bad), 10, "with D >= 0");
+  }
+}
+
+TEST(ScenarioSpec, ZeroLatencyIsAccepted) {
+  const auto cluster = ScenarioSpec::parse(cluster_latency_text("0"));
+  ASSERT_TRUE(cluster.has_value()) << cluster.error().what();
+  EXPECT_DOUBLE_EQ(cluster.value().cluster.inter_server_us, 0.0);
+  const auto hostile = ScenarioSpec::parse(fabric_delay_text("0"));
+  ASSERT_TRUE(hostile.has_value()) << hostile.error().what();
+  ASSERT_EQ(hostile.value().link.fabric.size(), 1u);
+  EXPECT_DOUBLE_EQ(hostile.value().link.fabric[0].delay_us, 0.0);
 }
 
 }  // namespace

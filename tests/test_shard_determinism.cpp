@@ -3,12 +3,15 @@
 // at threads = 1, 2 and 8 and the full metrics JSON must match byte for
 // byte — with at least one committed cross-rack lease in the log, so the
 // equality covers the fabric path, the orchestrator and the report
-// assembly, not just independent racks.  Unit tests for the two pieces
+// assembly, not just independent racks.  A metamorphic check pins the
+// other axis: when no chain leaves its rack, every chain's metrics are the
+// same at shards = 1 and shards = k.  Unit tests for the two pieces
 // the contract rests on — EpochExecutor's slice/barrier protocol and
 // ShardFabric's (dst, src, seq) exchange order — ride along.
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -17,6 +20,7 @@
 #include "chain/chain_builder.hpp"
 #include "experiment/invariants.hpp"
 #include "experiment/metrics_sink.hpp"
+#include "experiment/scenario_library.hpp"
 #include "experiment/scenario_runner.hpp"
 #include "experiment/scenario_spec.hpp"
 #include "sim/datacenter_simulator.hpp"
@@ -214,6 +218,50 @@ TEST(ShardDeterminism, IdleRacksAllocateNoPackets) {
       EXPECT_EQ(pool.capacity(), 0u) << "rack " << r;
     }
     EXPECT_EQ(pool.in_use(), 0u) << "rack " << r;
+  }
+}
+
+// Each chain's JSON entry, in chain order, without the sharded-only
+// `nodes_remote` key.
+std::vector<std::string> chain_entries(const std::string& json) {
+  const std::size_t begin = json.find("\"chains\": [");
+  const std::size_t end = json.find("\"control_events\"", begin);
+  const std::string chains = std::regex_replace(
+      json.substr(begin, end - begin),
+      std::regex("\"nodes_remote\": [0-9]+,\\s*"), "");
+  std::vector<std::string> entries;
+  for (std::size_t at = chains.find("\"name\": "); at != std::string::npos;) {
+    const std::size_t next = chains.find("\"name\": ", at + 1);
+    entries.push_back(chains.substr(at, next - at));
+    at = next;
+  }
+  return entries;
+}
+
+// Metamorphic check: with rebalancing and the orchestrator off no chain
+// leaves its rack, so cutting the fleet into k racks must leave every
+// chain's metrics exactly as the one-rack run reports them.
+TEST(ShardDeterminism, ChainMetricsIndependentOfShardCount) {
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"cluster-rack-16", 4},
+      {"churn-diurnal-flashcrowd", 2},
+      {"hostile-fabric-fade", 2},
+  };
+  for (const auto& [preset, k] : cases) {
+    auto spec = load_bundled_scenario(preset);
+    ASSERT_TRUE(spec) << spec.error().what();
+    ScenarioSpec one = spec.value();
+    one.cluster.rebalance = false;
+    one.cluster.orchestrate = false;
+    ScenarioSpec many = one;
+    many.cluster.shards = k;
+    const auto one_rack = chain_entries(to_json(run_at(one, 0)));
+    const auto k_racks = chain_entries(to_json(run_at(many, 1)));
+    ASSERT_EQ(one_rack.size(), spec.value().chains.size()) << preset;
+    ASSERT_EQ(k_racks.size(), one_rack.size()) << preset;
+    for (std::size_t c = 0; c < one_rack.size(); ++c) {
+      EXPECT_EQ(one_rack[c], k_racks[c]) << preset << " chain " << c;
+    }
   }
 }
 
