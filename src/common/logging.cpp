@@ -50,13 +50,6 @@ void Logger::vlogf(LogLevel level, const char* format, std::va_list args) {
   sink_(level, std::string_view{buf.data(), static_cast<std::size_t>(needed)});
 }
 
-void Logger::logf(LogLevel level, const char* format, ...) {
-  std::va_list args;
-  va_start(args, format);
-  vlogf(level, format, args);
-  va_end(args);
-}
-
 #define PAM_DEFINE_LOG_FN(name, level)                  \
   void name(const char* format, ...) {                  \
     std::va_list args;                                  \

@@ -44,7 +44,6 @@ class Logger {
     return static_cast<int>(level) >= static_cast<int>(level_);
   }
 
-  void logf(LogLevel level, const char* format, ...) __attribute__((format(printf, 3, 4)));
   void vlogf(LogLevel level, const char* format, std::va_list args);
 
  private:

@@ -9,6 +9,15 @@
 
 namespace pam {
 
+namespace {
+
+/// Pause-to-resume cost of one cross-server NF move (state over the rack
+/// fabric + control-plane setup; coarser than the per-blob PCIe model the
+/// single-server engine uses).
+constexpr SimTime kRemoteMoveCost = SimTime::milliseconds(1.0);
+
+}  // namespace
+
 FleetController::FleetController(ClusterSimulator& cluster,
                                  std::unique_ptr<MigrationPolicy> policy,
                                  FleetControllerOptions options)
@@ -217,7 +226,7 @@ void FleetController::scale_out(std::size_t c, const std::string& reason,
   ++chains_.at(c).remote_moves_in_flight;
   sim.pause_node(idx);
   cluster_.kernel().schedule_after(
-      options_.remote_migration_cost, [this, c, idx, target] {
+      kRemoteMoveCost, [this, c, idx, target] {
         complete_remote_move(c, idx, target,
                              ControlEvent::Kind::kCrossServerMove);
       });
@@ -311,7 +320,7 @@ void FleetController::on_server_failed(std::size_t server) {
       ++chains_.at(c).remote_moves_in_flight;
       sim.pause_node(i);
       cluster_.kernel().schedule_after(
-          options_.remote_migration_cost, [this, c, i, target] {
+          kRemoteMoveCost, [this, c, i, target] {
             complete_remote_move(c, i, target, ControlEvent::Kind::kEvacuated);
           });
     }

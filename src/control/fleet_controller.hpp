@@ -43,10 +43,6 @@ namespace pam {
 struct FleetControllerOptions : ControlPlaneOptions {
   /// A target slot qualifies only while its hottest device is below this.
   double target_max_load = 0.9;
-  /// Pause-to-resume cost of one cross-server NF move (state over the rack
-  /// fabric + control-plane setup; coarser than the per-blob PCIe model the
-  /// single-server engine uses).
-  SimTime remote_migration_cost = SimTime::milliseconds(1.0);
 };
 
 class FleetController final : private ControlPlane::Sensor,

@@ -12,6 +12,11 @@ namespace pam {
 
 namespace {
 
+/// Pause-to-commit cost of one cross-rack lease (state transfer over the
+/// datacenter fabric); rounded up to at least one epoch so the commit
+/// always lands on a barrier after the decision.
+constexpr SimTime kLeaseCost = SimTime::milliseconds(1.0);
+
 /// The orchestrator's ControlPlane needs *a* policy object (the shared loop
 /// plans before falling back to scale-out), but cross-rack placement is not
 /// a push-aside problem: every plan is reported infeasible so the loop
@@ -252,7 +257,7 @@ void DatacenterOrchestrator::scale_out(std::size_t c, const std::string& reason,
   pending.node = node;
   pending.target = target;
   pending.commit_at =
-      plane_.now() + std::max(options_.lease_migration_cost, dc_.quantum());
+      plane_.now() + std::max(kLeaseCost, dc_.quantum());
   pending_.push_back(pending);
 }
 

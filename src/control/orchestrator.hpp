@@ -43,10 +43,6 @@ struct DatacenterOrchestratorOptions : ControlPlaneOptions {
   /// this after absorbing the NF (same semantics as the rack controller's
   /// knob, applied fleet-wide).
   double target_max_load = 0.9;
-  /// Pause-to-commit cost of one cross-rack lease (state transfer over the
-  /// datacenter fabric); rounded up to at least one epoch so the commit
-  /// always lands on a barrier after the decision.
-  SimTime lease_migration_cost = SimTime::milliseconds(1.0);
 };
 
 class DatacenterOrchestrator final : private ControlPlane::Sensor,

@@ -216,14 +216,39 @@ class SpecParser {
   /// rate cycle or an epoch at the same instant forever.
   static bool ticks(double ns) { return ns >= 1.0; }
 
+  static constexpr double kNsPerMs = 1e6;
+  static constexpr double kNsPerUs = 1e3;
+
+  /// Every time-valued key passes here: `value` (`ns_per_unit` ns per unit,
+  /// written as `text` in `what`) must be finite and below 2^63 ns (about
+  /// 292 years) in magnitude.  SimTime's double-to-int64 conversion is
+  /// undefined behaviour for anything else: inf, NaN, 1e300.
+  bool need_sim_time(int line, const std::string& what, const std::string& text,
+                     double value, double ns_per_unit) {
+    const double ns = value * ns_per_unit;
+    if (ns >= -0x1p63 && ns < 0x1p63) return true;
+    return fail(line, format("%s: time '%s' must be finite and below 2^63 ns "
+                             "(about 292 years) in magnitude",
+                             what.c_str(), text.c_str()));
+  }
+
+  bool need_sim_time(const KeyValue& kv, double value, double ns_per_unit) {
+    return need_sim_time(kv.line, "key '" + kv.key + "'", kv.value, value,
+                         ns_per_unit);
+  }
+
+  bool need_ms(const KeyValue& kv, double& out) {
+    return need_double(kv, out) && need_sim_time(kv, out, kNsPerMs);
+  }
+
   bool need_period_ms(const KeyValue& kv, double& out) {
     if (!need_double(kv, out)) return false;
-    if (!ticks(out * 1e6)) {
+    if (!ticks(out * kNsPerMs)) {
       return fail(kv.line, format("key '%s': a period must be at least 1 ns "
                                   "(1e-6 ms), got '%s'",
                                   kv.key.c_str(), kv.value.c_str()));
     }
-    return true;
+    return need_sim_time(kv, out, kNsPerMs);
   }
 
   /// A latency in microseconds: 0 (immediate) or more.  Negative values
@@ -236,7 +261,7 @@ class SpecParser {
                                   "'%s'",
                                   kv.key.c_str(), kv.value.c_str()));
     }
-    return true;
+    return need_sim_time(kv, out, kNsPerUs);
   }
 
   bool parse_scenario(const Section& s) {
@@ -290,9 +315,9 @@ class SpecParser {
                                       kv.value.c_str()));
         }
       } else if (kv.key == "duration_ms") {
-        if (!need_double(kv, spec_.duration_ms)) return false;
+        if (!need_ms(kv, spec_.duration_ms)) return false;
       } else if (kv.key == "warmup_ms") {
-        if (!need_double(kv, spec_.warmup_ms)) return false;
+        if (!need_ms(kv, spec_.warmup_ms)) return false;
       } else if (kv.key == "seed") {
         if (!parse_u64_strict(kv.value, spec_.seed)) {
           return fail(kv.line, format("key 'seed': expected an unsigned integer, "
@@ -353,7 +378,7 @@ class SpecParser {
                     format("rate: expected 'step BEFORE AFTER at_ms=T', got '%s'",
                            kv.value.c_str()));
       }
-      return true;
+      return need_sim_time(kv.line, "rate", tok[3], out.at_ms, kNsPerMs);
     }
     if (tok.size() == 4 && tok[0] == "sinusoid") {
       out.kind = RateSpec::Kind::kSinusoid;
@@ -368,7 +393,7 @@ class SpecParser {
                                     "1 ns (1e-6 ms), got '%s'",
                                     tok[3].c_str()));
       }
-      return true;
+      return need_sim_time(kv.line, "rate", tok[3], out.period_ms, kNsPerMs);
     }
     if (tok.size() == 5 && tok[0] == "flash") {
       out.kind = RateSpec::Kind::kFlash;
@@ -380,7 +405,11 @@ class SpecParser {
                            "with D > 0, got '%s'",
                            kv.value.c_str()));
       }
-      return true;
+      // The flash ends at at_ms + for_ms, which must be a time too.
+      return need_sim_time(kv.line, "rate", tok[3], out.at_ms, kNsPerMs) &&
+             need_sim_time(kv.line, "rate", tok[4], out.for_ms, kNsPerMs) &&
+             need_sim_time(kv.line, "rate", tok[3] + " + " + tok[4],
+                           out.at_ms + out.for_ms, kNsPerMs);
     }
     return fail(kv.line, format("rate: expected 'constant G' | 'step B A at_ms=T' | "
                                 "'sinusoid BASE AMP period_ms=P' | "
@@ -591,9 +620,9 @@ class SpecParser {
       } else if (kv.key == "period_ms") {
         if (!need_period_ms(kv, spec_.controller.period_ms)) return false;
       } else if (kv.key == "first_check_ms") {
-        if (!need_double(kv, spec_.controller.first_check_ms)) return false;
+        if (!need_ms(kv, spec_.controller.first_check_ms)) return false;
       } else if (kv.key == "cooldown_ms") {
-        if (!need_double(kv, spec_.controller.cooldown_ms)) return false;
+        if (!need_ms(kv, spec_.controller.cooldown_ms)) return false;
       } else {
         return fail(kv.line,
                     format("unknown key '%s' in [controller]", kv.key.c_str()));
@@ -625,10 +654,10 @@ class SpecParser {
         if (!parse_policy(kv, decl.policy)) return false;
         chain_policy_line_ = kv.line;
       } else if (kv.key == "arrive_ms") {
-        if (!need_double(kv, decl.arrive_ms)) return false;
+        if (!need_ms(kv, decl.arrive_ms)) return false;
         chain_churn_line_ = kv.line;
       } else if (kv.key == "depart_ms") {
-        if (!need_double(kv, decl.depart_ms)) return false;
+        if (!need_ms(kv, decl.depart_ms)) return false;
         chain_churn_line_ = kv.line;
       } else if (kv.key == "rate") {
         if (!parse_rate_profile(kv, decl.rate)) return false;
@@ -690,9 +719,9 @@ class SpecParser {
       } else if (kv.key == "period_ms") {
         if (!need_period_ms(kv, spec_.cluster.period_ms)) return false;
       } else if (kv.key == "first_check_ms") {
-        if (!need_double(kv, spec_.cluster.first_check_ms)) return false;
+        if (!need_ms(kv, spec_.cluster.first_check_ms)) return false;
       } else if (kv.key == "cooldown_ms") {
-        if (!need_double(kv, spec_.cluster.cooldown_ms)) return false;
+        if (!need_ms(kv, spec_.cluster.cooldown_ms)) return false;
       } else if (kv.key == "shards") {
         std::uint64_t v = 0;
         if (!parse_u64_strict(kv.value, v) || v < 1 || v > 1024) {
@@ -708,12 +737,13 @@ class SpecParser {
         cluster_sharded_line_ = kv.line;
       } else if (kv.key == "cross_rack_us") {
         if (!need_double(kv, spec_.cluster.cross_rack_us)) return false;
-        if (!ticks(spec_.cluster.cross_rack_us * 1e3)) {
+        if (!ticks(spec_.cluster.cross_rack_us * kNsPerUs)) {
           return fail(kv.line, format("key 'cross_rack_us': the epoch quantum "
                                       "must be at least 1 ns (0.001 us), got "
                                       "'%s'",
                                       kv.value.c_str()));
         }
+        if (!need_sim_time(kv, spec_.cluster.cross_rack_us, kNsPerUs)) return false;
         cluster_sharded_line_ = kv.line;
       } else if (kv.key == "orchestrate") {
         if (kv.value == "on") {
@@ -757,6 +787,11 @@ class SpecParser {
       if (event.recover_ms >= 0.0 && event.recover_ms <= event.at_ms) {
         return fail(kv.line, "fail: recover_ms must be after at_ms");
       }
+      if (!need_sim_time(kv.line, "fail", tok[1], event.at_ms, kNsPerMs) ||
+          (tok.size() == 3 &&
+           !need_sim_time(kv.line, "fail", tok[2], event.recover_ms, kNsPerMs))) {
+        return false;
+      }
       spec_.failures.push_back(event);
     }
     if (spec_.failures.empty()) {
@@ -779,6 +814,10 @@ class SpecParser {
                              "got '%s'",
                              kv.value.c_str()));
         }
+        if (!need_sim_time(kv.line, "fabric", tok[0], point.at_ms, kNsPerMs) ||
+            !need_sim_time(kv.line, "fabric", tok[1], point.delay_us, kNsPerUs)) {
+          return false;
+        }
         spec_.link.fabric.push_back(point);
       } else if (kv.key == "fade") {
         LinkTraceSpec::SlotFade fade;
@@ -790,6 +829,9 @@ class SpecParser {
                       format("fade: expected 'SERVER at_ms=T speed=F' with F in "
                              "(0, 100], got '%s'",
                              kv.value.c_str()));
+        }
+        if (!need_sim_time(kv.line, "fade", tok[1], fade.at_ms, kNsPerMs)) {
+          return false;
         }
         spec_.link.fades.push_back(fade);
       } else {

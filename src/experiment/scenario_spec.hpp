@@ -54,8 +54,9 @@
 // never a silent fallback.
 //
 // Parsing is strict: unknown sections/keys, duplicate scalar sections,
-// duplicate keys, and missing required fields are all reported as errors
-// with the offending line.  `ScenarioSpec::to_text()` emits a canonical
+// duplicate keys, missing required fields, and time values (every *_ms and
+// *_us) that are not finite or do not fit the int64 nanosecond clock are all
+// reported as errors with the offending line.  `ScenarioSpec::to_text()` emits a canonical
 // rendering that parses back to an equal spec (round-trip property, covered
 // by tests/test_scenario_spec.cpp).
 

@@ -8,8 +8,14 @@
 
 namespace pam {
 
-MigrationEngine::MigrationEngine(ChainSimulator& sim, MigrationEngineOptions options)
-    : sim_(sim), options_(options) {}
+namespace {
+
+/// Control-plane setup per migration (flow-table updates, rule install).
+constexpr SimTime kControlOverhead = SimTime::microseconds(500.0);
+/// Floor on transfer time (one DMA round trip even for empty state).
+constexpr SimTime kMinTransfer = SimTime::microseconds(50.0);
+
+}  // namespace
 
 void MigrationEngine::execute(const MigrationPlan& plan, std::function<void()> on_done) {
   assert(!busy_ && "MigrationEngine::execute while a plan is in progress");
@@ -46,16 +52,10 @@ void MigrationEngine::run_step(std::shared_ptr<MigrationPlan> plan,
 
   // 3. transfer: control overhead + state over the PCIe link model.
   const auto& pcie = sim_.server().pcie();
-  SimTime transfer = options_.control_overhead;
   const SimTime state_time = snapshot.size().value() > 0
                                  ? pcie.crossing_latency(snapshot.size())
-                                 : options_.min_transfer;
-  transfer += std::max(state_time, options_.min_transfer);
-  if (step.to == Location::kSmartNic) {
-    // Landing on the SmartNIC may require device reconfiguration (partial
-    // bitstream load on FPGA boards).
-    transfer += options_.smartnic_reconfiguration;
-  }
+                                 : kMinTransfer;
+  const SimTime transfer = kControlOverhead + std::max(state_time, kMinTransfer);
 
   log_debug("migration: %s %s -> %s, state %s, transfer %s",
             step.nf_name.c_str(), std::string(to_string(step.from)).c_str(),

@@ -7,8 +7,10 @@
 //                NF are parked in an unbounded buffer (no loss).
 //   2. snapshot— export_state() on the live instance; the blob's size
 //                determines the transfer time.
-//   3. transfer— control-plane setup cost + the blob serialised over the
-//                PCIe link model.
+//   3. transfer— a fixed 500 us control-plane setup (flow-table updates,
+//                rule install) + the blob serialised over the PCIe link
+//                model, never less than one 50 us DMA round trip.  Landing
+//                on the NPU SmartNIC needs no device reconfiguration.
 //   4. restore — a fresh instance is created at the destination and
 //                import_state() replays the snapshot; the chain's placement
 //                flips.
@@ -40,20 +42,9 @@ struct MigrationRecord {
   [[nodiscard]] SimTime downtime() const noexcept { return completed - started; }
 };
 
-struct MigrationEngineOptions {
-  /// Control-plane setup per migration (flow-table updates, rule install).
-  SimTime control_overhead = SimTime::microseconds(500.0);
-  /// Floor on transfer time (one DMA round trip even for empty state).
-  SimTime min_transfer = SimTime::microseconds(50.0);
-  /// Device-side (re)configuration when an NF lands on the SmartNIC: ~0 for
-  /// NPU NICs (firmware dispatch), milliseconds for FPGA NICs (partial
-  /// bitstream over ICAP) — see MigrationCostModel in device/fpga.hpp.
-  SimTime smartnic_reconfiguration = SimTime::zero();
-};
-
 class MigrationEngine {
  public:
-  explicit MigrationEngine(ChainSimulator& sim, MigrationEngineOptions options = {});
+  explicit MigrationEngine(ChainSimulator& sim) : sim_(sim) {}
 
   /// Executes the plan's steps sequentially inside simulated time, then
   /// invokes `on_done` (if any).  Steps of an infeasible plan are not
@@ -70,7 +61,6 @@ class MigrationEngine {
                 std::function<void()> on_done);
 
   ChainSimulator& sim_;
-  MigrationEngineOptions options_;
   std::vector<MigrationRecord> records_;
   bool busy_ = false;
 };

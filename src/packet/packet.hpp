@@ -89,9 +89,9 @@ class Packet {
   [[nodiscard]] std::uint32_t hops() const noexcept { return hops_; }
   void note_hop() noexcept { ++hops_; }
 
-  /// Restores path counters after a reset().  Used by re-framing NFs
-  /// (tunnel encap/decap) that rebuild the buffer mid-chain but must not
-  /// erase the packet's travel history.
+  /// Restores path counters after a reset().  Used where a packet is rebuilt
+  /// from a cross-server or cross-rack frame and must keep its travel
+  /// history.
   void restore_path_counters(std::uint32_t crossings, std::uint32_t hops) noexcept {
     pcie_crossings_ = crossings;
     hops_ = hops;

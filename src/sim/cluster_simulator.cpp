@@ -67,11 +67,6 @@ void ClusterSimulator::fail_server(std::size_t s) { alive_.at(s) = false; }
 
 void ClusterSimulator::recover_server(std::size_t s) { alive_.at(s) = true; }
 
-std::size_t ClusterSimulator::servers_alive() const {
-  return static_cast<std::size_t>(
-      std::count(alive_.begin(), alive_.end(), true));
-}
-
 void ClusterSimulator::set_fabric_latency(SimTime latency) {
   inter_server_latency_ = latency;
   for (auto& chain : chains_) {
@@ -144,22 +139,6 @@ ClusterReport ClusterSimulator::collect(SimTime duration) {
   report.egress_goodput = Gbps{goodput};
   report.offered_rate = Gbps{offered};
   return report;
-}
-
-std::string ClusterReport::summary() const {
-  std::string out = format(
-      "cluster: %zu server(s), %zu chain(s) | injected %llu, delivered %llu, "
-      "dropped %llu, in-flight %llu | offered %s -> goodput %s\n",
-      servers, per_chain.size(), static_cast<unsigned long long>(injected),
-      static_cast<unsigned long long>(delivered),
-      static_cast<unsigned long long>(dropped_total),
-      static_cast<unsigned long long>(in_flight_at_end),
-      offered_rate.to_string().c_str(), egress_goodput.to_string().c_str());
-  out += format("fleet latency %s | pcie crossings %llu, inter-server hops %llu",
-                latency.summary().c_str(),
-                static_cast<unsigned long long>(pcie_crossings),
-                static_cast<unsigned long long>(inter_server_hops));
-  return out;
 }
 
 }  // namespace pam

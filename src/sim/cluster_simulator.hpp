@@ -78,8 +78,6 @@ struct ClusterReport {
   [[nodiscard]] bool conserved() const noexcept {
     return injected == delivered + dropped_total + in_flight_at_end;
   }
-
-  [[nodiscard]] std::string summary() const;
 };
 
 class ClusterSimulator {
@@ -128,7 +126,6 @@ class ClusterSimulator {
   void fail_server(std::size_t s);
   void recover_server(std::size_t s);
   [[nodiscard]] bool server_alive(std::size_t s) const { return alive_.at(s); }
-  [[nodiscard]] std::size_t servers_alive() const;
 
   // --- hostile-link scenarios ------------------------------------------------
 

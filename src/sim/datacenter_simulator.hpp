@@ -169,7 +169,6 @@ class DatacenterSimulator {
   /// changed) when the target slot is dead.  Leases are permanent for the
   /// remainder of the run.
   bool commit_lease(std::size_t c, std::size_t node, std::size_t target);
-  [[nodiscard]] std::size_t lease_count() const noexcept { return leases_.size(); }
   /// Host slot (global id) of the lease for (c, node); only valid when the
   /// node is remote.
   [[nodiscard]] std::size_t lease_host(std::size_t c, std::size_t node) const;

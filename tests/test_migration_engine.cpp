@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chain/chain_analyzer.hpp"
 #include "chain/chain_builder.hpp"
 #include "core/pam_policy.hpp"
@@ -170,6 +172,44 @@ TEST(MigrationEngine, DowntimeScalesWithStateSize) {
   const auto late = run_with_migration_at(SimTime::milliseconds(60));
   EXPECT_GT(late.state_size.value(), early.state_size.value());
   EXPECT_GT(late.downtime(), early.downtime());
+}
+
+// The transfer cost is fixed: 500 us of control-plane setup plus the state
+// blob over the PCIe link, never less than one 50 us DMA round trip.  On an
+// idle chain the blob cannot change during the transfer, so the measured
+// downtime equals that sum exactly.
+TEST(MigrationEngine, IdleStepCostIsSetupPlusStateTransfer) {
+  auto migrate_idle_monitor = [](Gbps rate_before_idle) {
+    Server server = Server::paper_testbed();
+    TrafficSourceConfig cfg = traffic(rate_before_idle, 42);
+    cfg.rate = RateProfile::step(rate_before_idle, 0.0_gbps, SimTime::milliseconds(30));
+    cfg.flows.flow_count = 16384;
+    ChainSimulator sim{paper_figure1_chain(), server, cfg};
+    MigrationEngine engine{sim};
+    MigrationPlan plan;
+    plan.policy_name = "test";
+    MigrationStep step;
+    step.node_index = 1;
+    step.nf_name = "Monitor";
+    step.from = Location::kSmartNic;
+    step.to = Location::kCpu;
+    plan.steps.push_back(step);
+    sim.schedule_at(SimTime::milliseconds(40), [&] { engine.execute(plan); });
+    (void)sim.run(SimTime::milliseconds(60), SimTime::milliseconds(1));
+    const MigrationRecord record = engine.records().at(0);
+    const SimTime expected =
+        SimTime::microseconds(500) +
+        std::max(server.pcie().crossing_latency(record.state_size),
+                 SimTime::microseconds(50));
+    EXPECT_EQ(record.downtime(), expected);
+    return record;
+  };
+  // Never loaded: the blob is tiny and the 50 us floor applies.
+  const MigrationRecord empty = migrate_idle_monitor(0.0_gbps);
+  EXPECT_EQ(empty.downtime(), SimTime::microseconds(550));
+  // Loaded for 30 ms, then idle: the flow table takes longer than the floor.
+  const MigrationRecord loaded = migrate_idle_monitor(1.0_gbps);
+  EXPECT_GT(loaded.downtime(), SimTime::microseconds(550));
 }
 
 }  // namespace

@@ -765,5 +765,101 @@ TEST(ScenarioSpec, ZeroLatencyIsAccepted) {
   EXPECT_DOUBLE_EQ(hostile.value().link.fabric[0].delay_us, 0.0);
 }
 
+TEST(ScenarioSpecErrors, InfiniteOrHugeLatencyRejected) {
+  for (const char* bad : {"inf", "1e300", "9223372036855000"}) {
+    expect_rejected_at(cluster_latency_text(bad), 9, "must be finite and below 2^63 ns");
+    expect_rejected_at(fabric_delay_text(bad), 10, "must be finite and below 2^63 ns");
+    expect_rejected_at(sharded_cluster_text(bad), 10, "must be finite and below 2^63 ns");
+  }
+}
+
+TEST(ScenarioSpec, LargestWholeMicrosecondLatencyIsAccepted) {
+  for (const auto& text : {cluster_latency_text("9223372036854774"),
+                           fabric_delay_text("9223372036854774"),
+                           sharded_cluster_text("9223372036854774")}) {
+    const auto result = ScenarioSpec::parse(text);
+    EXPECT_TRUE(result.has_value()) << result.error().what();
+  }
+}
+
+// Every time-valued key is converted to SimTime's int64 nanoseconds.  inf,
+// NaN and values past 2^63 ns (about 292 years) made that conversion
+// undefined behaviour: `duration_ms = inf` ran with no packets at all.  One
+// representative key per section, with the line it sits on; '@' marks the
+// value.  The churn, failure and link rows stretch duration_ms so that the
+// largest valid time still lies inside the run.
+struct TimeKeyCase {
+  const char* key;
+  const char* text;
+  int line;
+};
+
+constexpr TimeKeyCase kTimeKeys[] = {
+    {"[scenario] duration_ms",
+     "[scenario]\nname = x\nkind = compare\nchain = wire | S:Monitor | wire\n"
+     "duration_ms = @\n[variant]\npolicy = pam\n",
+     5},
+    {"[traffic] rate at_ms",
+     "[scenario]\nname = x\nkind = timeline\nchain = wire | S:Monitor | wire\n"
+     "[traffic]\nrate = step 1 2 at_ms=@\n",
+     6},
+    {"[controller] cooldown_ms",
+     "[scenario]\nname = x\nkind = timeline\nchain = wire | S:Monitor | wire\n"
+     "[traffic]\nrate = constant 2\n[controller]\ncooldown_ms = @\n",
+     8},
+    {"[chain] arrive_ms",
+     "[scenario]\nname = c\nkind = churn\nduration_ms = 9223372036854.5\n"
+     "[chain]\nname = a\nspec = wire | S:Firewall | wire\narrive_ms = @\n"
+     "[cluster]\nservers = 2\n",
+     8},
+    {"[cluster] first_check_ms",
+     "[scenario]\nname = c\nkind = cluster\n"
+     "[chain]\nname = a\nspec = wire | S:Firewall | wire\n"
+     "[cluster]\nservers = 2\nfirst_check_ms = @\n",
+     9},
+    {"[failure] at_ms",
+     "[scenario]\nname = f\nkind = failure\nduration_ms = 9223372036854.5\n"
+     "[chain]\nname = a\nspec = wire | S:Firewall | wire\n"
+     "[cluster]\nservers = 2\nrebalance = on\n[failure]\nfail = 0 at_ms=@\n",
+     12},
+    {"[link] fade at_ms",
+     "[scenario]\nname = h\nkind = hostile\nduration_ms = 9223372036854.5\n"
+     "[chain]\nname = a\nspec = wire | S:Firewall | wire\n"
+     "[cluster]\nservers = 2\n[link]\nfade = 0 at_ms=@ speed=0.5\n",
+     11},
+};
+
+std::string with_value(const char* text, const std::string& value) {
+  std::string out = text;
+  out.replace(out.find('@'), 1, value);
+  return out;
+}
+
+TEST(ScenarioSpecErrors, NonFiniteOrOutOfRangeTimesRejected) {
+  for (const auto& c : kTimeKeys) {
+    for (const char* bad :
+         {"inf", "-inf", "1e300", "nan", "9223372036855", "-9223372036855"}) {
+      SCOPED_TRACE(std::string(c.key) + " = " + bad);
+      expect_rejected_at(with_value(c.text, bad), c.line,
+                         "must be finite and below 2^63 ns");
+    }
+  }
+}
+
+TEST(ScenarioSpec, LargestWholeMillisecondTimeIsAccepted) {
+  for (const auto& c : kTimeKeys) {
+    const auto result = ScenarioSpec::parse(with_value(c.text, "9223372036854"));
+    EXPECT_TRUE(result.has_value()) << c.key << ": " << result.error().what();
+  }
+}
+
+// A flash crowd ends at at_ms + for_ms; each may fit while the sum does not.
+TEST(ScenarioSpecErrors, FlashEndPastTheClockRangeRejected) {
+  expect_rejected_at(
+      "[scenario]\nname = x\nkind = timeline\nchain = wire | S:Monitor | wire\n"
+      "[traffic]\nrate = flash 1 2 at_ms=5000000000000 for_ms=5000000000000\n",
+      6, "must be finite and below 2^63 ns");
+}
+
 }  // namespace
 }  // namespace pam
